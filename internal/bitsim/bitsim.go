@@ -29,6 +29,7 @@ import (
 
 	"bespoke/internal/logic"
 	"bespoke/internal/netlist"
+	"bespoke/internal/sim"
 )
 
 // Lanes is the batch width: one uint64 bitplane bit per world.
@@ -126,8 +127,8 @@ type Block interface {
 	Reset(s *Sim)
 }
 
-// Sim simulates one netlist plus its blocks across 64 lanes. The hot
-// structures are the same CSR arrays as internal/sim; only the value
+// Sim simulates one netlist plus its blocks across 64 lanes. It embeds
+// the same compiled sim.Topology as the scalar engine; only the value
 // representation and the evaluation dispatch differ (a kind switch over
 // word ops instead of a truth-table row).
 type Sim struct {
@@ -137,33 +138,17 @@ type Sim struct {
 	// Cycle is the number of clock edges since Reset.
 	Cycle uint64
 
-	blocks      []Block
-	blockSubIdx []int32
-	blockSubDat []int32
+	sim.Topology
+	blocks []Block
 
-	levels   []int32
-	maxLevel int32
-
-	fanIdx []int32
-	fanDat []fanEntry
-
-	ops []gateOp
-
-	bucketOff  []int32
 	bucketNext []int32
 	bucketDat  []netlist.GateID
 	inQueue    []bool
 	blockDirty []bool
-	blockAtLvl [][]int32
 
 	pending     int32
 	dirtyBlocks int32
 	minPend     int32
-	minBlockLvl int32
-
-	dffs     []netlist.GateID
-	dffD     []int32
-	dffReset []logic.V
 
 	// forceMask/forceVal pin gate outputs per lane (stuck-at faults):
 	// wherever forceMask is set the evaluated output is overridden with
@@ -185,283 +170,60 @@ type stagedW struct {
 	v  W
 }
 
-type fanEntry struct {
-	id  netlist.GateID
-	lvl int32
-}
-
-// gateOp packs a gate's operand nets and kind for the settle loop.
-type gateOp struct {
-	in0, in1, in2 int32
-	kind          int32
-}
-
 // New builds a bit-parallel simulator for n with the given behavioral
-// blocks, levelizing the combinational network including block read
-// paths (same augmented graph as sim.New).
+// blocks over the topology sim.Compile builds for the scalar engine.
 func New(n *netlist.Netlist, blocks ...Block) (*Sim, error) {
-	nG := len(n.Gates)
-	s := &Sim{
-		N:          n,
-		Val:        make([]W, nG),
-		blocks:     blocks,
-		inQueue:    make([]bool, nG),
-		blockDirty: make([]bool, len(blocks)),
-		dffs:       n.DffIDs(),
-		forceMask:  make([]uint64, nG),
-		forceVal:   make([]uint64, nG),
-	}
-	s.dffD = make([]int32, len(s.dffs))
-	s.dffReset = make([]logic.V, len(s.dffs))
-	for i, id := range s.dffs {
-		s.dffD[i] = int32(n.Gates[id].In[0])
-		s.dffReset[i] = n.Gates[id].Reset
-	}
-
-	// CSR block subscriptions.
-	s.blockSubIdx = make([]int32, nG+1)
-	for _, b := range blocks {
-		for _, in := range b.Inputs() {
-			s.blockSubIdx[in+1]++
-		}
-	}
-	for i := 0; i < nG; i++ {
-		s.blockSubIdx[i+1] += s.blockSubIdx[i]
-	}
-	s.blockSubDat = make([]int32, s.blockSubIdx[nG])
-	fill := make([]int32, nG)
-	for bi, b := range blocks {
-		for _, in := range b.Inputs() {
-			s.blockSubDat[s.blockSubIdx[in]+fill[in]] = int32(bi)
-			fill[in]++
-		}
-		for _, out := range b.Outputs() {
-			if n.Gates[out].Kind != netlist.Input {
-				return nil, fmt.Errorf("bitsim: block %d output gate %d is %s, want input", bi, out, n.Gates[out].Kind)
-			}
-		}
-	}
-
-	// CSR combinational fanout (sequential readers filtered out).
-	s.fanIdx = make([]int32, nG+1)
-	for i := range n.Gates {
-		g := &n.Gates[i]
-		if g.Kind.IsSeq() {
-			continue
-		}
-		ni := g.Kind.NumInputs()
-		for p := 0; p < ni; p++ {
-			if in := g.In[p]; in != netlist.None {
-				s.fanIdx[in+1]++
-			}
-		}
-	}
-	for i := 0; i < nG; i++ {
-		s.fanIdx[i+1] += s.fanIdx[i]
-	}
-	s.fanDat = make([]fanEntry, s.fanIdx[nG])
-	for i := range fill {
-		fill[i] = 0
-	}
-	for i := range n.Gates {
-		g := &n.Gates[i]
-		if g.Kind.IsSeq() {
-			continue
-		}
-		ni := g.Kind.NumInputs()
-		for p := 0; p < ni; p++ {
-			if in := g.In[p]; in != netlist.None {
-				s.fanDat[s.fanIdx[in]+fill[in]].id = netlist.GateID(i)
-				fill[in]++
-			}
-		}
-	}
-
-	// Flat evaluation operands: unused pins read gate 0 (don't-care for
-	// the kind switch, which never loads them).
-	s.ops = make([]gateOp, nG)
-	for i := range n.Gates {
-		g := &n.Gates[i]
-		s.ops[i].kind = int32(g.Kind)
-		ni := g.Kind.NumInputs()
-		if ni > 0 && g.In[0] != netlist.None {
-			s.ops[i].in0 = int32(g.In[0])
-		}
-		if ni > 1 && g.In[1] != netlist.None {
-			s.ops[i].in1 = int32(g.In[1])
-		}
-		if ni > 2 && g.In[2] != netlist.None {
-			s.ops[i].in2 = int32(g.In[2])
-		}
-	}
-
-	if err := s.levelize(); err != nil {
+	t, err := sim.Compile(n, blocks)
+	if err != nil {
 		return nil, err
 	}
-	for i := range s.fanDat {
-		s.fanDat[i].lvl = s.levels[s.fanDat[i].id]
-	}
-
-	// Per-level queue segments sized by combinational population.
-	nLvl := int(s.maxLevel) + 2
-	s.bucketOff = make([]int32, nLvl+1)
-	for i := range n.Gates {
-		k := n.Gates[i].Kind
-		if !k.IsSeq() && k.NumInputs() > 0 {
-			s.bucketOff[s.levels[i]+1]++
-		}
-	}
-	for l := 0; l < nLvl; l++ {
-		s.bucketOff[l+1] += s.bucketOff[l]
-	}
-	s.bucketNext = append([]int32(nil), s.bucketOff[:nLvl]...)
-	s.bucketDat = make([]netlist.GateID, s.bucketOff[nLvl])
-
-	s.blockAtLvl = make([][]int32, nLvl)
-	s.minPend = int32(nLvl)
-	s.minBlockLvl = int32(nLvl)
-	for bi, b := range blocks {
-		lvl := int32(0)
-		for _, in := range b.Inputs() {
-			if s.levels[in] >= lvl {
-				lvl = s.levels[in]
-			}
-		}
-		s.blockAtLvl[lvl] = append(s.blockAtLvl[lvl], int32(bi))
-		if lvl < s.minBlockLvl {
-			s.minBlockLvl = lvl
-		}
-	}
-	return s, nil
-}
-
-// levelize assigns topological levels over the combinational graph
-// augmented with block input->output edges (same algorithm as sim).
-func (s *Sim) levelize() error {
-	n := s.N
-	nG := len(n.Gates)
-	blockOut := make([]int32, nG)
-	for bi, b := range s.blocks {
-		for _, out := range b.Outputs() {
-			blockOut[out] = int32(bi) + 1
-		}
-	}
-	isSource := func(id netlist.GateID) bool {
-		g := &n.Gates[id]
-		if g.Kind.IsSeq() {
-			return true
-		}
-		if g.Kind == netlist.Input {
-			return blockOut[id] == 0
-		}
-		return g.Kind.NumInputs() == 0
-	}
-	preds := func(id netlist.GateID, f func(netlist.GateID)) {
-		g := &n.Gates[id]
-		if g.Kind == netlist.Input {
-			if bi := blockOut[id]; bi != 0 {
-				for _, in := range s.blocks[bi-1].Inputs() {
-					f(in)
-				}
-			}
-			return
-		}
-		ni := g.Kind.NumInputs()
-		for p := 0; p < ni; p++ {
-			f(g.In[p])
-		}
-	}
-	lv := make([]int32, nG)
-	state := make([]uint8, nG)
-	type frame struct {
-		id   netlist.GateID
-		pred []netlist.GateID
-		i    int
-	}
-	predList := func(id netlist.GateID) []netlist.GateID {
-		var ps []netlist.GateID
-		preds(id, func(p netlist.GateID) { ps = append(ps, p) })
-		return ps
-	}
-	var stack []frame
-	for root := 0; root < nG; root++ {
-		if state[root] != 0 {
-			continue
-		}
-		stack = append(stack[:0], frame{id: netlist.GateID(root)})
-		state[root] = 1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if isSource(f.id) {
-				lv[f.id] = 0
-				state[f.id] = 2
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			if f.pred == nil {
-				f.pred = predList(f.id)
-			}
-			if f.i < len(f.pred) {
-				p := f.pred[f.i]
-				f.i++
-				switch state[p] {
-				case 0:
-					state[p] = 1
-					stack = append(stack, frame{id: p})
-				case 1:
-					return fmt.Errorf("bitsim: combinational cycle through gate %d (%s %q)", p, s.N.Gates[p].Kind, s.N.Gates[p].Name)
-				}
-				continue
-			}
-			var m int32 = -1
-			for _, p := range f.pred {
-				if state[p] == 2 && lv[p] > m && !s.N.Gates[p].Kind.IsSeq() {
-					m = lv[p]
-				}
-			}
-			lv[f.id] = m + 1
-			if lv[f.id] > s.maxLevel {
-				s.maxLevel = lv[f.id]
-			}
-			state[f.id] = 2
-			stack = stack[:len(stack)-1]
-		}
-	}
-	s.levels = lv
-	return nil
+	nG, nLvl := len(n.Gates), len(t.BucketOff)-1
+	return &Sim{
+		N:          n,
+		Val:        make([]W, nG),
+		Topology:   t,
+		blocks:     blocks,
+		bucketNext: append([]int32(nil), t.BucketOff[:nLvl]...),
+		bucketDat:  make([]netlist.GateID, len(t.Sched)),
+		inQueue:    make([]bool, nG),
+		blockDirty: make([]bool, len(blocks)),
+		minPend:    int32(nLvl),
+		forceMask:  make([]uint64, nG),
+		forceVal:   make([]uint64, nG),
+	}, nil
 }
 
 // eval computes gate id's output planes from its current inputs,
 // including any per-lane force override.
 func (s *Sim) eval(id netlist.GateID) W {
-	op := &s.ops[id]
+	op := &s.Ops[id]
 	var v W
-	switch netlist.Kind(op.kind) {
+	switch netlist.Kind(op.Kind) {
 	case netlist.Const0:
 		v = Splat(logic.Zero)
 	case netlist.Const1:
 		v = Splat(logic.One)
 	case netlist.Buf:
-		v = s.Val[op.in0]
+		v = s.Val[op.In0]
 	case netlist.Not:
-		v = notW(s.Val[op.in0])
+		v = notW(s.Val[op.In0])
 	case netlist.And:
-		v = andW(s.Val[op.in0], s.Val[op.in1])
+		v = andW(s.Val[op.In0], s.Val[op.In1])
 	case netlist.Or:
-		v = orW(s.Val[op.in0], s.Val[op.in1])
+		v = orW(s.Val[op.In0], s.Val[op.In1])
 	case netlist.Nand:
-		a := andW(s.Val[op.in0], s.Val[op.in1])
+		a := andW(s.Val[op.In0], s.Val[op.In1])
 		v = W{^a.V & a.D, a.D}
 	case netlist.Nor:
-		a := orW(s.Val[op.in0], s.Val[op.in1])
+		a := orW(s.Val[op.In0], s.Val[op.In1])
 		v = W{^a.V & a.D, a.D}
 	case netlist.Xor:
-		v = xorW(s.Val[op.in0], s.Val[op.in1])
+		v = xorW(s.Val[op.In0], s.Val[op.In1])
 	case netlist.Xnor:
-		a := xorW(s.Val[op.in0], s.Val[op.in1])
+		a := xorW(s.Val[op.In0], s.Val[op.In1])
 		v = W{^a.V & a.D, a.D}
 	case netlist.Mux:
-		v = muxW(s.Val[op.in0], s.Val[op.in1], s.Val[op.in2])
+		v = muxW(s.Val[op.In0], s.Val[op.In1], s.Val[op.In2])
 	default:
 		// Input/Dff never enter the event queue.
 		v = s.Val[id]
@@ -482,21 +244,21 @@ func (s *Sim) drive(id netlist.GateID, v W) {
 		return
 	}
 	s.Val[id] = v
-	for j := s.fanIdx[id]; j < s.fanIdx[id+1]; j++ {
-		e := s.fanDat[j]
-		if !s.inQueue[e.id] {
-			s.inQueue[e.id] = true
-			nx := s.bucketNext[e.lvl]
-			s.bucketDat[nx] = e.id
-			s.bucketNext[e.lvl] = nx + 1
+	for j := s.FanIdx[id]; j < s.FanIdx[id+1]; j++ {
+		e := s.FanDat[j]
+		if !s.inQueue[e.ID] {
+			s.inQueue[e.ID] = true
+			nx := s.bucketNext[e.Lvl]
+			s.bucketDat[nx] = e.ID
+			s.bucketNext[e.Lvl] = nx + 1
 			s.pending++
-			if e.lvl < s.minPend {
-				s.minPend = e.lvl
+			if e.Lvl < s.minPend {
+				s.minPend = e.Lvl
 			}
 		}
 	}
-	for j := s.blockSubIdx[id]; j < s.blockSubIdx[id+1]; j++ {
-		if bi := s.blockSubDat[j]; !s.blockDirty[bi] {
+	for j := s.BlockSubIdx[id]; j < s.BlockSubIdx[id+1]; j++ {
+		if bi := s.BlockSubDat[j]; !s.blockDirty[bi] {
 			s.blockDirty[bi] = true
 			s.dirtyBlocks++
 		}
@@ -536,14 +298,14 @@ func (s *Sim) Settle() {
 	}
 	nLvl := int32(len(s.bucketNext))
 	lvl := s.minPend
-	if s.dirtyBlocks > 0 && s.minBlockLvl < lvl {
-		lvl = s.minBlockLvl
+	if s.dirtyBlocks > 0 && s.MinBlockLvl < lvl {
+		lvl = s.MinBlockLvl
 	}
 	for ; lvl < nLvl; lvl++ {
 		if s.pending == 0 && s.dirtyBlocks == 0 {
 			break
 		}
-		base := s.bucketOff[lvl]
+		base := s.BucketOff[lvl]
 		if end := s.bucketNext[lvl]; end > base {
 			s.pending -= end - base
 			for i := base; i < end; i++ {
@@ -555,7 +317,7 @@ func (s *Sim) Settle() {
 			}
 			s.bucketNext[lvl] = base
 		}
-		for _, bi := range s.blockAtLvl[lvl] {
+		for _, bi := range s.BlockAtLvl[lvl] {
 			if s.blockDirty[bi] {
 				s.blockDirty[bi] = false
 				s.dirtyBlocks--
@@ -570,12 +332,12 @@ func (s *Sim) Settle() {
 // (or its reset value while resetting, with forced lanes pinned), blocks
 // commit state, and injected pulses expire.
 func (s *Sim) Edge() {
-	for i, id := range s.dffs {
+	for i, id := range s.DffGates {
 		var next W
 		if s.resetting {
-			next = Splat(s.dffReset[i])
+			next = Splat(s.DffReset[i])
 		} else {
-			next = s.Val[s.dffD[i]]
+			next = s.Val[s.DffD[i]]
 		}
 		if s.anyForce {
 			if m := s.forceMask[id]; m != 0 {
@@ -619,32 +381,17 @@ func (s *Sim) Reset() {
 	for i := range s.Val {
 		s.Val[i] = W{}
 	}
-	for i := range s.inQueue {
-		s.inQueue[i] = false
+	for _, id := range s.Consts {
+		s.Val[id] = Splat(logic.FromBool(s.N.Gates[id].Kind == netlist.Const1))
 	}
-	copy(s.bucketNext, s.bucketOff[:len(s.bucketNext)])
-	s.pending = 0
+	copy(s.bucketDat, s.Sched)
+	copy(s.bucketNext, s.BucketOff[1:])
+	copy(s.inQueue, s.Comb)
+	s.pending = int32(len(s.Sched))
 	s.minPend = 0
 	s.pulsed = s.pulsed[:0]
 	for _, b := range s.blocks {
 		b.Reset(s)
-	}
-	for i := range s.N.Gates {
-		id := netlist.GateID(i)
-		k := s.N.Gates[i].Kind
-		if !k.IsSeq() && k.NumInputs() > 0 && !s.inQueue[id] {
-			s.inQueue[id] = true
-			l := s.levels[id]
-			s.bucketDat[s.bucketNext[l]] = id
-			s.bucketNext[l]++
-			s.pending++
-		}
-		switch k {
-		case netlist.Const0:
-			s.Val[id] = Splat(logic.Zero)
-		case netlist.Const1:
-			s.Val[id] = Splat(logic.One)
-		}
 	}
 	for i := range s.blockDirty {
 		if !s.blockDirty[i] {
@@ -741,15 +488,15 @@ func (s *Sim) ReadBusLane(bus []netlist.GateID, l int) logic.Word {
 }
 
 // Dffs exposes the flip-flop ID ordering used by DffSnapshotLane.
-func (s *Sim) Dffs() []netlist.GateID { return s.dffs }
+func (s *Sim) Dffs() []netlist.GateID { return s.DffGates }
 
 // DffSnapshotLane captures lane l of every flip-flop in DffIDs order,
 // directly comparable with sim.DffSnapshot of a scalar run.
 func (s *Sim) DffSnapshotLane(l int, dst []logic.V) []logic.V {
-	if len(dst) != len(s.dffs) {
-		dst = make([]logic.V, len(s.dffs))
+	if len(dst) != len(s.DffGates) {
+		dst = make([]logic.V, len(s.DffGates))
 	}
-	for i, id := range s.dffs {
+	for i, id := range s.DffGates {
 		dst[i] = s.Val[id].Lane(l)
 	}
 	return dst
@@ -760,11 +507,11 @@ func (s *Sim) DffSnapshotLane(l int, dst []logic.V) []logic.V {
 // classifier compares snapshots before and after a strike settles to
 // find the lanes whose glitch reached a latch point.
 func (s *Sim) DffDSnapshotPlanes(dst []W) []W {
-	if len(dst) != len(s.dffs) {
-		dst = make([]W, len(s.dffs))
+	if len(dst) != len(s.DffGates) {
+		dst = make([]W, len(s.DffGates))
 	}
-	for i := range s.dffs {
-		dst[i] = s.Val[s.dffD[i]]
+	for i := range s.DffGates {
+		dst[i] = s.Val[s.DffD[i]]
 	}
 	return dst
 }

@@ -19,9 +19,6 @@ import (
 	"bespoke/internal/netlist"
 )
 
-// haltWord is the testbench halt convention: an unconditional self-jump.
-const haltWord = 0x3FFF
-
 // LaneStatus classifies how a lane's run ended.
 type LaneStatus uint8
 
@@ -208,7 +205,7 @@ func (h *Harness) checkHalt() {
 		if !msp430.InROM(pcv) {
 			continue
 		}
-		if h.ROM.LaneWord(l, (pcv-msp430.ROMStart)/2) != haltWord {
+		if h.ROM.LaneWord(l, (pcv-msp430.ROMStart)/2) != msp430.HaltWord {
 			continue
 		}
 		if irqZero>>uint(l)&1 == 0 {
@@ -259,24 +256,14 @@ func (h *Harness) Run(ctx context.Context, ws []*core.Workload, hook func(*Harne
 	}
 	h.cycles = 0
 
-	maxC := make([]uint64, h.n)
-	p1i := make([]int, h.n)
-	irqi := make([]int, h.n)
-	for l := 0; l < h.n; l++ {
-		maxC[l] = 2_000_000
-		var w *core.Workload
+	stim := make([]core.Stimulus, h.n)
+	for l := range stim {
 		if l < len(ws) {
-			w = ws[l]
+			stim[l] = core.NewStimulus(ws[l])
 		}
-		if w == nil {
-			continue
-		}
-		if w.MaxCycles != 0 {
-			maxC[l] = w.MaxCycles
-		}
-		for addr, v := range w.RAM {
+		stim[l].PreloadRAM(func(addr, v uint16) {
 			h.RAM.SetLaneWord(l, (addr-msp430.RAMStart)/2, logic.KnownWord(v))
-		}
+		})
 	}
 
 	for h.live != 0 {
@@ -287,20 +274,12 @@ func (h *Harness) Run(ctx context.Context, ws []*core.Workload, hook func(*Harne
 		}
 		for m := h.live; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			if l < len(ws) && ws[l] != nil {
-				w := ws[l]
-				for p1i[l] < len(w.P1) && w.P1[p1i[l]].At <= h.cycles {
-					h.setP1Lane(l, w.P1[p1i[l]].Value)
-					p1i[l]++
-				}
-				for irqi[l] < len(w.IRQ) && w.IRQ[irqi[l]].At <= h.cycles {
-					h.setIRQLane(l, w.IRQ[irqi[l]].Line, w.IRQ[irqi[l]].Level)
-					irqi[l]++
-				}
-			}
-			if h.cycles >= maxC[l] {
+			stim[l].Apply(h.cycles,
+				func(v uint16) { h.setP1Lane(l, v) },
+				func(line int, level bool) { h.setIRQLane(l, line, level) })
+			if budget := stim[l].Budget(); h.cycles >= budget {
 				h.retire(l, LaneOverBudget,
-					fmt.Sprintf("workload did not halt in %d cycles", maxC[l]))
+					fmt.Sprintf("workload did not halt in %d cycles", budget))
 			}
 		}
 		if h.live == 0 {

@@ -395,10 +395,10 @@ func (r *RAM) Clock(s *Sim) {
 		write := func(old logic.Word) logic.Word {
 			nw := old
 			if wlL != logic.Zero {
-				nw = mergeLane(nw, data, 0, wlL == logic.One && enL == logic.One)
+				nw = nw.MergeLane(data, 0, wlL == logic.One && enL == logic.One)
 			}
 			if whL != logic.Zero {
-				nw = mergeLane(nw, data, 8, whL == logic.One && enL == logic.One)
+				nw = nw.MergeLane(data, 8, whL == logic.One && enL == logic.One)
 			}
 			return nw
 		}
@@ -421,21 +421,6 @@ func (r *RAM) setLane(i uint16, l int, w logic.Word) {
 	for b := 0; b < 16; b++ {
 		r.words[i][b] = r.words[i][b].SetLane(l, w.Bit(uint(b)))
 	}
-}
-
-// mergeLane writes one byte lane of data into w; a possible write merges
-// conservatively (same helper as the scalar RAM).
-func mergeLane(w, data logic.Word, shift uint, definite bool) logic.Word {
-	for i := uint(0); i < 8; i++ {
-		bit := shift + i
-		v := data.Bit(bit)
-		if definite {
-			w = w.SetBit(bit, v)
-		} else {
-			w = w.SetBit(bit, logic.Merge(w.Bit(bit), v))
-		}
-	}
-	return w
 }
 
 // Reset implements Block: all words become X in every lane.

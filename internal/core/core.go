@@ -27,8 +27,6 @@ import (
 	"bespoke/internal/cut"
 	"bespoke/internal/equiv"
 	"bespoke/internal/layout"
-	"bespoke/internal/logic"
-	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
 	"bespoke/internal/parallel"
 	"bespoke/internal/power"
@@ -173,17 +171,10 @@ func RunWorkloadHooked(ctx context.Context, core *cpu.Core, prog *asm.Program, w
 	if err != nil {
 		return nil, stageErr(stage, netlist.None, err)
 	}
-	max := uint64(2_000_000)
-	if w != nil && w.MaxCycles != 0 {
-		max = w.MaxCycles
-	}
-	if w != nil {
-		for addr, v := range w.RAM {
-			core.RAM.SetWord((addr-msp430.RAMStart)/2, logic.KnownWord(v))
-		}
-	}
+	stim := NewStimulus(w)
+	max := stim.Budget()
+	stim.PreloadRAM(h.SetRAMWord)
 	h.Sim.ResetToggleCounts()
-	p1i, irqi := 0, 0
 	for {
 		if h.Cycles&ctxCheckMask == 0 {
 			if cerr := ctx.Err(); cerr != nil {
@@ -191,16 +182,7 @@ func RunWorkloadHooked(ctx context.Context, core *cpu.Core, prog *asm.Program, w
 					fmt.Errorf("core: workload aborted at cycle %d: %w", h.Cycles, cerr))
 			}
 		}
-		if w != nil {
-			for p1i < len(w.P1) && w.P1[p1i].At <= h.Cycles {
-				h.SetP1In(w.P1[p1i].Value)
-				p1i++
-			}
-			for irqi < len(w.IRQ) && w.IRQ[irqi].At <= h.Cycles {
-				h.SetIRQ(w.IRQ[irqi].Line, w.IRQ[irqi].Level)
-				irqi++
-			}
-		}
+		stim.Apply(h.Cycles, h.SetP1In, h.SetIRQ)
 		if h.Cycles >= max {
 			return nil, stageErr(stage, netlist.None,
 				fmt.Errorf("core: workload did not halt in %d cycles (pc=%#04x)", max, h.PCVal()))
@@ -208,25 +190,12 @@ func RunWorkloadHooked(ctx context.Context, core *cpu.Core, prog *asm.Program, w
 		if hook != nil {
 			hook(h)
 		}
-		if h.State() == cpu.StateFETCH && halted(core, h) {
+		if h.Halted() {
 			break
 		}
 		h.StepCycle()
 	}
 	return &RunTrace{Out: h.Out, Cycles: h.Cycles, Toggles: append([]uint64(nil), h.Sim.ToggleCount...)}, nil
-}
-
-// halted implements the testbench halt convention: an unconditional
-// self-jump with interrupts unable to fire.
-func halted(core *cpu.Core, h *cpu.Harness) bool {
-	pc := h.PCVal()
-	if !msp430.InROM(pc) {
-		return false
-	}
-	if core.ROM.Words()[(pc-msp430.ROMStart)/2] != 0x3FFF {
-		return false
-	}
-	return h.Sim.Val[core.IrqTake] == logic.Zero
 }
 
 // blockPaths builds the STA macro arcs for the core's memories.

@@ -25,25 +25,7 @@ type Harness struct {
 // flow, so each harness gets its own), loads the image, and resets the
 // machine up to the first instruction boundary.
 func NewHarness(image []byte, loadAddr uint16) (*Harness, error) {
-	core := Build()
-	core.LoadProgram(image, loadAddr)
-	s, err := core.NewSim()
-	if err != nil {
-		return nil, err
-	}
-	h := &Harness{Core: core, Sim: s}
-	s.Reset()
-	for i := range core.IRQ {
-		s.Drive(core.IRQ[i], logic.Zero)
-	}
-	s.DriveBus(core.P1In, logic.KnownWord(0))
-	// One cycle of stRESET loads PC from the reset vector.
-	h.stepCycle()
-	if st := h.State(); st != stFETCH {
-		return nil, fmt.Errorf("cpu: expected FETCH after reset, in state %d", st)
-	}
-	h.Cycles = 0
-	return h, nil
+	return NewHarnessOn(Build(), image, loadAddr)
 }
 
 // NewHarnessOn is NewHarness over an existing (possibly bespoke) core.
@@ -59,6 +41,7 @@ func NewHarnessOn(core *Core, image []byte, loadAddr uint16) (*Harness, error) {
 		s.Drive(core.IRQ[i], logic.Zero)
 	}
 	s.DriveBus(core.P1In, logic.KnownWord(0))
+	// One cycle of stRESET loads PC from the reset vector.
 	h.stepCycle()
 	if st := h.State(); st != stFETCH {
 		return nil, fmt.Errorf("cpu: expected FETCH after reset, in state %d", st)
@@ -135,6 +118,24 @@ func (h *Harness) SetP1In(v uint16) {
 // SetIRQ drives external interrupt line i.
 func (h *Harness) SetIRQ(i int, level bool) {
 	h.Sim.Drive(h.Core.IRQ[i], logic.FromBool(level))
+}
+
+// Halted reports the testbench halt convention: the core is at an
+// instruction boundary on an unconditional self-jump (msp430.HaltWord)
+// with no interrupt about to be taken.
+func (h *Harness) Halted() bool {
+	if h.State() != stFETCH {
+		return false
+	}
+	pc := h.PCVal()
+	return msp430.InROM(pc) && h.Core.ROM.Words()[(pc-msp430.ROMStart)/2] == msp430.HaltWord &&
+		h.Sim.Val[h.Core.IrqTake] == logic.Zero
+}
+
+// SetRAMWord writes a known data-RAM word by byte address (testbench
+// use: preloading a workload's data).
+func (h *Harness) SetRAMWord(addr, v uint16) {
+	h.Core.RAM.SetWord((addr-msp430.RAMStart)/2, logic.KnownWord(v))
 }
 
 // RAMWord reads a data-RAM word by byte address.

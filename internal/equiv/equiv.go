@@ -387,10 +387,12 @@ func ProveClaims(ctx context.Context, env *Env, opts Options) (*Report, error) {
 				return p.buildErr
 			}
 			ci := residue[qi]
+			conflicts := p.s.Stats().Conflicts
 			o, err := p.decide(ctx, ci)
 			if err != nil {
 				return err
 			}
+			o.conflicts = p.s.Stats().Conflicts - conflicts
 			outcomes[qi] = o
 			return nil
 		})
@@ -403,6 +405,7 @@ func ProveClaims(ctx context.Context, env *Env, opts Options) (*Report, error) {
 		rep.Results[residue[qi]].Used = o.used
 		rep.Results[residue[qi]].K = o.k
 		rep.SATQueries += o.queries
+		rep.Conflicts += o.conflicts
 	}
 
 	// Phase 4: claims the frame queries exhausted their budget on (or
@@ -606,6 +609,8 @@ type outcome struct {
 	used    []int32
 	k       int
 	queries int64
+	// conflicts is the solver's conflict count across the decision.
+	conflicts int64
 }
 
 // prover is one worker's solver instance for phase-3 queries.

@@ -230,3 +230,20 @@ func TestMiterBenchmarkHonest(t *testing.T) {
 		t.Fatalf("honest cut inequivalent at %q", mres.Mismatch)
 	}
 }
+
+// TestProveClaimsReportsConflicts: a run that dispatches SAT queries
+// reports the solver conflicts behind them. Workers split queries
+// nondeterministically, so only the presence of conflicts is checked.
+func TestProveClaimsReportsConflicts(t *testing.T) {
+	env, _, _ := analyzeBench(t, "dbg")
+	rep, err := equiv.ProveClaims(context.Background(), env, equiv.Options{})
+	if err != nil {
+		t.Fatalf("ProveClaims: %v", err)
+	}
+	if rep.SATQueries == 0 {
+		t.Fatal("no SAT queries dispatched: the test no longer exercises phase 3")
+	}
+	if rep.Conflicts <= 0 {
+		t.Fatalf("%d SAT queries reported %d conflicts, want > 0", rep.SATQueries, rep.Conflicts)
+	}
+}

@@ -174,6 +174,22 @@ func (w Word) Merge(o Word) Word {
 	return Word{Val: w.Val &^ diff, Mask: diff}
 }
 
+// MergeLane writes the byte lane of data starting at bit shift into w.
+// A definite write overwrites the lane; a possible one (an X write
+// enable) merges it conservatively with the old contents.
+func (w Word) MergeLane(data Word, shift uint, definite bool) Word {
+	for i := uint(0); i < 8; i++ {
+		bit := shift + i
+		v := data.Bit(bit)
+		if definite {
+			w = w.SetBit(bit, v)
+		} else {
+			w = w.SetBit(bit, Merge(w.Bit(bit), v))
+		}
+	}
+	return w
+}
+
 // Covers reports whether w is at least as conservative as o.
 func (w Word) Covers(o Word) bool {
 	// Every bit: w.X, or both known and equal (o must be known there).

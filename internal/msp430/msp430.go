@@ -263,6 +263,11 @@ const (
 	OUTPORT uint16 = 0x0070
 )
 
+// HaltWord encodes "jmp $" (an unconditional jump with offset -1): a
+// program halts, by testbench convention, by spinning on it with no
+// interrupt able to fire.
+const HaltWord uint16 = 0x3FFF
+
 // InROM reports whether addr falls in program flash.
 func InROM(addr uint16) bool { return addr >= ROMStart }
 

@@ -17,8 +17,6 @@ import (
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/layout"
-	"bespoke/internal/logic"
-	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
 	"bespoke/internal/power"
 )
@@ -78,36 +76,18 @@ func Analyze(prog *asm.Program, w *core.Workload) (*Report, error) {
 	h.Sim.Tag = tags
 	h.Sim.TagTouched = make([]bool, len(names)+1)
 
-	if w != nil {
-		for addr, v := range w.RAM {
-			c.RAM.SetWord((addr-msp430.RAMStart)/2, logic.KnownWord(v))
-		}
-	}
+	stim := core.NewStimulus(w)
+	stim.PreloadRAM(h.SetRAMWord)
 	h.Sim.ResetToggleCounts()
 
 	idle := make([]uint64, len(names))
-	max := uint64(2_000_000)
-	if w != nil && w.MaxCycles != 0 {
-		max = w.MaxCycles
-	}
-	p1i, irqi := 0, 0
+	max := stim.Budget()
 	for {
-		if w != nil {
-			for p1i < len(w.P1) && w.P1[p1i].At <= h.Cycles {
-				h.SetP1In(w.P1[p1i].Value)
-				p1i++
-			}
-			for irqi < len(w.IRQ) && w.IRQ[irqi].At <= h.Cycles {
-				h.SetIRQ(w.IRQ[irqi].Line, w.IRQ[irqi].Level)
-				irqi++
-			}
-		}
+		stim.Apply(h.Cycles, h.SetP1In, h.SetIRQ)
 		if h.Cycles >= max {
 			return nil, fmt.Errorf("powergate: workload did not halt in %d cycles", max)
 		}
-		pc := h.PCVal()
-		if msp430.InROM(pc) && c.ROM.Words()[(pc-msp430.ROMStart)/2] == 0x3FFF &&
-			h.Sim.Val[c.IrqTake] == logic.Zero && h.State() == cpu.StateFETCH {
+		if h.Halted() {
 			break
 		}
 		for i := range h.Sim.TagTouched {

@@ -81,10 +81,10 @@ func (r *RAM) Clock(s *Sim) {
 	write := func(w logic.Word) logic.Word {
 		nw := w
 		if wl != logic.Zero {
-			nw = mergeLane(nw, data, 0, wl == logic.One && en == logic.One)
+			nw = nw.MergeLane(data, 0, wl == logic.One && en == logic.One)
 		}
 		if wh != logic.Zero {
-			nw = mergeLane(nw, data, 8, wh == logic.One && en == logic.One)
+			nw = nw.MergeLane(data, 8, wh == logic.One && en == logic.One)
 		}
 		return nw
 	}
@@ -100,21 +100,6 @@ func (r *RAM) Clock(s *Sim) {
 			r.words[i] = r.words[i].Merge(w)
 		}
 	}
-}
-
-// mergeLane writes one byte lane of data into w. If definite, the lane is
-// overwritten; otherwise (possible write) the lane merges conservatively.
-func mergeLane(w, data logic.Word, shift uint, definite bool) logic.Word {
-	for i := uint(0); i < 8; i++ {
-		bit := shift + i
-		v := data.Bit(bit)
-		if definite {
-			w = w.SetBit(bit, v)
-		} else {
-			w = w.SetBit(bit, logic.Merge(w.Bit(bit), v))
-		}
-	}
-	return w
 }
 
 // addrPossible reports whether the three-valued address a could equal

@@ -118,41 +118,16 @@ type Sim struct {
 	// countToggles gates ToggleCount bookkeeping (see ToggleCount).
 	countToggles bool
 
+	Topology
 	blocks []Block
-	// blockSubIdx/blockSubDat are the CSR form of the net -> subscribed
-	// blocks relation: blocks listening on net g are
-	// blockSubDat[blockSubIdx[g]:blockSubIdx[g+1]].
-	blockSubIdx []int32
-	blockSubDat []int32
 
-	levels   []int32
-	maxLevel int32
-
-	// fanIdx/fanDat are the CSR form of combinational fanout: the
-	// non-sequential readers of net g are fanDat[fanIdx[g]:fanIdx[g+1]].
-	// DFF D-pins are filtered out at build time (they are sampled at the
-	// clock edge, never propagated during settle). Each entry carries the
-	// reader's level so the enqueue path avoids a second random load.
-	fanIdx []int32
-	fanDat []fanEntry
-
-	// ops packs each gate's flattened input pins and truth-table row
-	// offset into one 16-byte record so evaluation touches a single
-	// cache line per gate. Unused pins point at gate 0, whose value is a
-	// don't-care for the truth-table row of any kind with fewer inputs.
-	ops []gateOp
-
-	// The pending event queue: one fixed CSR segment per level, sized to
-	// the number of combinational gates at that level (each gate queues
-	// at most once, guarded by inQueue). bucketNext[l] is the write
-	// cursor, starting at bucketOff[l]; the level is empty when they are
-	// equal.
-	bucketOff  []int32
+	// The pending event queue, laid out in Topology's per-level
+	// segments: bucketNext[l] is level l's write cursor, starting at
+	// BucketOff[l]; the level is empty when they are equal.
 	bucketNext []int32
 	bucketDat  []netlist.GateID
 	inQueue    []bool
 	blockDirty []bool
-	blockAtLvl [][]int32 // blocks to evaluate at a given level
 
 	// pending counts queued gates, dirtyBlocks counts blocks awaiting
 	// Eval, and minPend lower-bounds the lowest non-empty queue level;
@@ -162,11 +137,6 @@ type Sim struct {
 	pending     int32
 	dirtyBlocks int32
 	minPend     int32
-	minBlockLvl int32
-
-	dffs     []netlist.GateID
-	dffD     []int32   // D input net per flip-flop, in dffs order
-	dffReset []logic.V // reset value per flip-flop, in dffs order
 
 	// pulsed lists combinational gates carrying an injected
 	// single-event-transient (see InjectPulse) until the next clock edge
@@ -182,242 +152,28 @@ type Sim struct {
 // levelizes the combinational network including block read paths and
 // returns an error on combinational cycles.
 func New(n *netlist.Netlist, blocks ...Block) (*Sim, error) {
-	nG := len(n.Gates)
+	t, err := Compile(n, blocks)
+	if err != nil {
+		return nil, err
+	}
+	nG, nLvl := len(n.Gates), len(t.BucketOff)-1
 	s := &Sim{
 		N:           n,
 		Val:         make([]logic.V, nG),
 		Active:      make([]bool, nG),
 		ToggleCount: make([]uint64, nG),
+		Topology:    t,
 		blocks:      blocks,
+		bucketNext:  append([]int32(nil), t.BucketOff[:nLvl]...),
+		bucketDat:   make([]netlist.GateID, len(t.Sched)),
 		inQueue:     make([]bool, nG),
 		blockDirty:  make([]bool, len(blocks)),
-		dffs:        n.DffIDs(),
+		minPend:     int32(nLvl),
 	}
 	for i := range s.Val {
 		s.Val[i] = logic.X
 	}
-	s.dffD = make([]int32, len(s.dffs))
-	s.dffReset = make([]logic.V, len(s.dffs))
-	for i, id := range s.dffs {
-		s.dffD[i] = int32(n.Gates[id].In[0])
-		s.dffReset[i] = n.Gates[id].Reset
-	}
-
-	// CSR block subscriptions.
-	s.blockSubIdx = make([]int32, nG+1)
-	for _, b := range blocks {
-		for _, in := range b.Inputs() {
-			s.blockSubIdx[in+1]++
-		}
-	}
-	for i := 0; i < nG; i++ {
-		s.blockSubIdx[i+1] += s.blockSubIdx[i]
-	}
-	s.blockSubDat = make([]int32, s.blockSubIdx[nG])
-	fill := make([]int32, nG)
-	for bi, b := range blocks {
-		for _, in := range b.Inputs() {
-			s.blockSubDat[s.blockSubIdx[in]+fill[in]] = int32(bi)
-			fill[in]++
-		}
-		for _, out := range b.Outputs() {
-			if n.Gates[out].Kind != netlist.Input {
-				return nil, fmt.Errorf("sim: block %d output gate %d is %s, want input", bi, out, n.Gates[out].Kind)
-			}
-		}
-	}
-
-	// CSR combinational fanout (sequential readers filtered out).
-	s.fanIdx = make([]int32, nG+1)
-	for i := range n.Gates {
-		g := &n.Gates[i]
-		if g.Kind.IsSeq() {
-			continue
-		}
-		ni := g.Kind.NumInputs()
-		for p := 0; p < ni; p++ {
-			if in := g.In[p]; in != netlist.None {
-				s.fanIdx[in+1]++
-			}
-		}
-	}
-	for i := 0; i < nG; i++ {
-		s.fanIdx[i+1] += s.fanIdx[i]
-	}
-	s.fanDat = make([]fanEntry, s.fanIdx[nG])
-	for i := range fill {
-		fill[i] = 0
-	}
-	for i := range n.Gates {
-		g := &n.Gates[i]
-		if g.Kind.IsSeq() {
-			continue
-		}
-		ni := g.Kind.NumInputs()
-		for p := 0; p < ni; p++ {
-			if in := g.In[p]; in != netlist.None {
-				s.fanDat[s.fanIdx[in]+fill[in]].id = netlist.GateID(i)
-				fill[in]++
-			}
-		}
-	}
-
-	// Flat evaluation operands: unused pins read gate 0 (don't-care).
-	s.ops = make([]gateOp, nG)
-	for i := range n.Gates {
-		g := &n.Gates[i]
-		s.ops[i].off = int32(g.Kind) * evalStride
-		ni := g.Kind.NumInputs()
-		if ni > 0 && g.In[0] != netlist.None {
-			s.ops[i].in0 = int32(g.In[0])
-		}
-		if ni > 1 && g.In[1] != netlist.None {
-			s.ops[i].in1 = int32(g.In[1])
-		}
-		if ni > 2 && g.In[2] != netlist.None {
-			s.ops[i].in2 = int32(g.In[2])
-		}
-	}
-
-	if err := s.levelize(); err != nil {
-		return nil, err
-	}
-	for i := range s.fanDat {
-		s.fanDat[i].lvl = s.levels[s.fanDat[i].id]
-	}
-
-	// Per-level queue segments sized by combinational population.
-	nLvl := int(s.maxLevel) + 2
-	s.bucketOff = make([]int32, nLvl+1)
-	for i := range n.Gates {
-		k := n.Gates[i].Kind
-		if !k.IsSeq() && k.NumInputs() > 0 {
-			s.bucketOff[s.levels[i]+1]++
-		}
-	}
-	for l := 0; l < nLvl; l++ {
-		s.bucketOff[l+1] += s.bucketOff[l]
-	}
-	s.bucketNext = append([]int32(nil), s.bucketOff[:nLvl]...)
-	s.bucketDat = make([]netlist.GateID, s.bucketOff[nLvl])
-
-	s.blockAtLvl = make([][]int32, nLvl)
-	s.minPend = int32(nLvl)
-	s.minBlockLvl = int32(nLvl)
-	for bi, b := range blocks {
-		lvl := int32(0)
-		for _, in := range b.Inputs() {
-			if s.levels[in] >= lvl {
-				lvl = s.levels[in]
-			}
-		}
-		// Evaluate the block after its highest input level settles.
-		s.blockAtLvl[lvl] = append(s.blockAtLvl[lvl], int32(bi))
-		if lvl < s.minBlockLvl {
-			s.minBlockLvl = lvl
-		}
-	}
 	return s, nil
-}
-
-// levelize assigns topological levels over the combinational graph
-// augmented with block input->output edges.
-func (s *Sim) levelize() error {
-	n := s.N
-	nG := len(n.Gates)
-	// Build augmented in-degree over combinational edges only.
-	blockOut := make([]int32, nG) // block index+1 driving this input gate
-	for bi, b := range s.blocks {
-		for _, out := range b.Outputs() {
-			blockOut[out] = int32(bi) + 1
-		}
-	}
-	isSource := func(id netlist.GateID) bool {
-		g := &n.Gates[id]
-		if g.Kind.IsSeq() {
-			return true
-		}
-		if g.Kind == netlist.Input {
-			return blockOut[id] == 0
-		}
-		return g.Kind.NumInputs() == 0
-	}
-	// preds returns combinational predecessors of id.
-	preds := func(id netlist.GateID, f func(netlist.GateID)) {
-		g := &n.Gates[id]
-		if g.Kind == netlist.Input {
-			if bi := blockOut[id]; bi != 0 {
-				for _, in := range s.blocks[bi-1].Inputs() {
-					f(in)
-				}
-			}
-			return
-		}
-		ni := g.Kind.NumInputs()
-		for p := 0; p < ni; p++ {
-			f(g.In[p])
-		}
-	}
-	lv := make([]int32, nG)
-	state := make([]uint8, nG)
-	type frame struct {
-		id   netlist.GateID
-		pred []netlist.GateID
-		i    int
-	}
-	predList := func(id netlist.GateID) []netlist.GateID {
-		var ps []netlist.GateID
-		preds(id, func(p netlist.GateID) { ps = append(ps, p) })
-		return ps
-	}
-	var stack []frame
-	for root := 0; root < nG; root++ {
-		if state[root] != 0 {
-			continue
-		}
-		stack = append(stack[:0], frame{id: netlist.GateID(root)})
-		state[root] = 1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if isSource(f.id) {
-				lv[f.id] = 0
-				state[f.id] = 2
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			if f.pred == nil {
-				f.pred = predList(f.id)
-			}
-			if f.i < len(f.pred) {
-				p := f.pred[f.i]
-				f.i++
-				switch state[p] {
-				case 0:
-					state[p] = 1
-					stack = append(stack, frame{id: p})
-				case 1:
-					return fmt.Errorf("sim: combinational cycle through gate %d (%s %q)", p, s.N.Gates[p].Kind, s.N.Gates[p].Name)
-				}
-				continue
-			}
-			var m int32 = -1
-			for _, p := range f.pred {
-				// DFF predecessors are level-0 sources and impose no
-				// ordering; block-driven inputs carry their real level.
-				if state[p] == 2 && lv[p] > m && !s.N.Gates[p].Kind.IsSeq() {
-					m = lv[p]
-				}
-			}
-			lv[f.id] = m + 1
-			if lv[f.id] > s.maxLevel {
-				s.maxLevel = lv[f.id]
-			}
-			state[f.id] = 2
-			stack = stack[:len(stack)-1]
-		}
-	}
-	s.levels = lv
-	return nil
 }
 
 // drive sets the value of net id, recording activity and scheduling
@@ -436,21 +192,21 @@ func (s *Sim) drive(id netlist.GateID, v logic.V) {
 		s.TagTouched[s.Tag[id]] = true
 	}
 	// Schedule combinational fanout (CSR walk) and notify blocks.
-	for j := s.fanIdx[id]; j < s.fanIdx[id+1]; j++ {
-		e := s.fanDat[j]
-		if !s.inQueue[e.id] {
-			s.inQueue[e.id] = true
-			nx := s.bucketNext[e.lvl]
-			s.bucketDat[nx] = e.id
-			s.bucketNext[e.lvl] = nx + 1
+	for j := s.FanIdx[id]; j < s.FanIdx[id+1]; j++ {
+		e := s.FanDat[j]
+		if !s.inQueue[e.ID] {
+			s.inQueue[e.ID] = true
+			nx := s.bucketNext[e.Lvl]
+			s.bucketDat[nx] = e.ID
+			s.bucketNext[e.Lvl] = nx + 1
 			s.pending++
-			if e.lvl < s.minPend {
-				s.minPend = e.lvl
+			if e.Lvl < s.minPend {
+				s.minPend = e.Lvl
 			}
 		}
 	}
-	for j := s.blockSubIdx[id]; j < s.blockSubIdx[id+1]; j++ {
-		if bi := s.blockSubDat[j]; !s.blockDirty[bi] {
+	for j := s.BlockSubIdx[id]; j < s.BlockSubIdx[id+1]; j++ {
+		if bi := s.BlockSubDat[j]; !s.blockDirty[bi] {
 			s.blockDirty[bi] = true
 			s.dirtyBlocks++
 		}
@@ -483,8 +239,8 @@ func (s *Sim) Settle() {
 	}
 	nLvl := int32(len(s.bucketNext))
 	lvl := s.minPend
-	if s.dirtyBlocks > 0 && s.minBlockLvl < lvl {
-		lvl = s.minBlockLvl
+	if s.dirtyBlocks > 0 && s.MinBlockLvl < lvl {
+		lvl = s.MinBlockLvl
 	}
 	for ; lvl < nLvl; lvl++ {
 		if s.pending == 0 && s.dirtyBlocks == 0 {
@@ -492,15 +248,15 @@ func (s *Sim) Settle() {
 		}
 		// Fanout is strictly forward, so this level's segment is frozen:
 		// nothing evaluated here can enqueue at this level or below.
-		base := s.bucketOff[lvl]
+		base := s.BucketOff[lvl]
 		if end := s.bucketNext[lvl]; end > base {
 			s.pending -= end - base
 			for i := base; i < end; i++ {
 				id := s.bucketDat[i]
 				s.inQueue[id] = false
-				op := &s.ops[id]
-				idx := op.off | int32(s.Val[op.in0]) |
-					int32(s.Val[op.in1])<<2 | int32(s.Val[op.in2])<<4
+				op := &s.Ops[id]
+				idx := op.Kind*evalStride | int32(s.Val[op.In0]) |
+					int32(s.Val[op.In1])<<2 | int32(s.Val[op.In2])<<4
 				// Hoisted no-change test: most re-evaluated gates keep
 				// their value, and skipping the drive call here is the
 				// single biggest win in the settle loop.
@@ -510,7 +266,7 @@ func (s *Sim) Settle() {
 			}
 			s.bucketNext[lvl] = base
 		}
-		for _, bi := range s.blockAtLvl[lvl] {
+		for _, bi := range s.BlockAtLvl[lvl] {
 			if s.blockDirty[bi] {
 				s.blockDirty[bi] = false
 				s.dirtyBlocks--
@@ -534,12 +290,12 @@ func (s *Sim) BlockDrive(id netlist.GateID, v logic.V) {
 // DFF outputs are scheduled for the next Settle.
 func (s *Sim) Edge() {
 	// Sample all D inputs first (DFF semantics: old values everywhere).
-	for i, id := range s.dffs {
+	for i, id := range s.DffGates {
 		var next logic.V
 		if s.resetting {
-			next = s.dffReset[i]
+			next = s.DffReset[i]
 		} else {
-			next = s.Val[s.dffD[i]]
+			next = s.Val[s.DffD[i]]
 		}
 		if next != s.Val[id] {
 			// Defer the actual update so DFF-to-DFF paths are race-free.
@@ -601,9 +357,9 @@ func (s *Sim) InjectPulse(id netlist.GateID) (logic.V, error) {
 // the injection changed its output, not its inputs.
 func (s *Sim) clearPulses() {
 	for _, id := range s.pulsed {
-		op := &s.ops[id]
-		idx := op.off | int32(s.Val[op.in0]) |
-			int32(s.Val[op.in1])<<2 | int32(s.Val[op.in2])<<4
+		op := &s.Ops[id]
+		idx := op.Kind*evalStride | int32(s.Val[op.In0]) |
+			int32(s.Val[op.In1])<<2 | int32(s.Val[op.In2])<<4
 		if v := evalTab[idx]; v != s.Val[id] {
 			s.drive(id, v)
 		}
@@ -614,19 +370,6 @@ func (s *Sim) clearPulses() {
 type staged struct {
 	id netlist.GateID
 	v  logic.V
-}
-
-// fanEntry is one combinational fanout edge: the reading gate plus its
-// precomputed topological level.
-type fanEntry struct {
-	id  netlist.GateID
-	lvl int32
-}
-
-// gateOp is a gate's evaluation record: three operand nets (unused pins
-// read gate 0) and the gate's truth-table row offset.
-type gateOp struct {
-	in0, in1, in2, off int32
 }
 
 // Step runs one full cycle: settle then clock edge.
@@ -642,33 +385,18 @@ func (s *Sim) Reset() {
 	for i := range s.Val {
 		s.Val[i] = logic.X
 	}
-	for i := range s.inQueue {
-		s.inQueue[i] = false
+	for _, id := range s.Consts {
+		s.Val[id] = logic.FromBool(s.N.Gates[id].Kind == netlist.Const1)
 	}
-	copy(s.bucketNext, s.bucketOff[:len(s.bucketNext)])
-	s.pending = 0
+	// All gates need evaluation: schedule everything once.
+	copy(s.bucketDat, s.Sched)
+	copy(s.bucketNext, s.BucketOff[1:])
+	copy(s.inQueue, s.Comb)
+	s.pending = int32(len(s.Sched))
 	s.minPend = 0
 	s.pulsed = s.pulsed[:0]
 	for _, b := range s.blocks {
 		b.Reset(s)
-	}
-	// All gates need evaluation: schedule everything once.
-	for i := range s.N.Gates {
-		id := netlist.GateID(i)
-		k := s.N.Gates[i].Kind
-		if !k.IsSeq() && k.NumInputs() > 0 && !s.inQueue[id] {
-			s.inQueue[id] = true
-			l := s.levels[id]
-			s.bucketDat[s.bucketNext[l]] = id
-			s.bucketNext[l]++
-			s.pending++
-		}
-		switch k {
-		case netlist.Const0:
-			s.Val[id] = logic.Zero
-		case netlist.Const1:
-			s.Val[id] = logic.One
-		}
 	}
 	for i := range s.blockDirty {
 		if !s.blockDirty[i] {
@@ -734,10 +462,10 @@ func (s *Sim) DffSnapshot() []logic.V {
 // DffSnapshotInto captures flip-flop values into dst when it has the
 // right length, avoiding an allocation; otherwise a fresh slice is made.
 func (s *Sim) DffSnapshotInto(dst []logic.V) []logic.V {
-	if len(dst) != len(s.dffs) {
-		dst = make([]logic.V, len(s.dffs))
+	if len(dst) != len(s.DffGates) {
+		dst = make([]logic.V, len(s.DffGates))
 	}
-	for i, id := range s.dffs {
+	for i, id := range s.DffGates {
 		dst[i] = s.Val[id]
 	}
 	return dst
@@ -749,11 +477,11 @@ func (s *Sim) DffSnapshotInto(dst []logic.V) []logic.V {
 // snapshots taken before and after a transient settles to decide whether
 // a glitch reached any latch point.
 func (s *Sim) DffDSnapshotInto(dst []logic.V) []logic.V {
-	if len(dst) != len(s.dffs) {
-		dst = make([]logic.V, len(s.dffs))
+	if len(dst) != len(s.DffGates) {
+		dst = make([]logic.V, len(s.DffGates))
 	}
-	for i := range s.dffs {
-		dst[i] = s.Val[s.dffD[i]]
+	for i := range s.DffGates {
+		dst[i] = s.Val[s.DffD[i]]
 	}
 	return dst
 }
@@ -761,10 +489,10 @@ func (s *Sim) DffDSnapshotInto(dst []logic.V) []logic.V {
 // RestoreDffs sets all flip-flop values from a snapshot and schedules
 // recomputation of downstream logic.
 func (s *Sim) RestoreDffs(vals []logic.V) {
-	if len(vals) != len(s.dffs) {
+	if len(vals) != len(s.DffGates) {
 		panic("sim: snapshot length mismatch") // panic-ok: snapshot from a different netlist is a harness coding error
 	}
-	for i, id := range s.dffs {
+	for i, id := range s.DffGates {
 		if vals[i] != s.Val[id] {
 			s.drive(id, vals[i])
 		}
@@ -772,7 +500,7 @@ func (s *Sim) RestoreDffs(vals []logic.V) {
 }
 
 // Dffs exposes the flip-flop ID ordering used by DffSnapshot.
-func (s *Sim) Dffs() []netlist.GateID { return s.dffs }
+func (s *Sim) Dffs() []netlist.GateID { return s.DffGates }
 
 // Blocks returns the attached behavioral blocks.
 func (s *Sim) Blocks() []Block { return s.blocks }

@@ -532,7 +532,7 @@ func (a *analyzer) atFetch() (done, forked bool, err error) {
 	// Halt convention: an unconditional self-jump with no interrupt
 	// that could ever fire.
 	word := a.core.ROM.Words()[(pc-msp430.ROMStart)/2]
-	if msp430.InROM(pc) && word == haltWord && take == logic.Zero {
+	if msp430.InROM(pc) && word == msp430.HaltWord && take == logic.Zero {
 		return true, false, nil
 	}
 
@@ -625,9 +625,6 @@ func (a *analyzer) atFetch() (done, forked bool, err error) {
 	a.stack = append(a.stack, worlds...)
 	return false, true, nil
 }
-
-// haltWord is the encoding of "jmp $" (offset -1).
-const haltWord uint16 = 0x3FFF
 
 // atExec handles conditional-jump branch sites.
 func (a *analyzer) atExec() (done, forked bool, err error) {
