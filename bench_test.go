@@ -261,6 +261,20 @@ func BenchmarkCoreElaboration(b *testing.B) {
 	b.ReportMetric(float64(gates), "gates")
 }
 
+// BenchmarkPlace measures placement of the full base core, including the
+// Levels and Fanout tables the placer builds on a fresh netlist.
+func BenchmarkPlace(b *testing.B) {
+	n := cpu.Build().N
+	lib := cells.TSMC65()
+	var wire float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.InvalidateDerived()
+		wire = layout.Place(n, lib).TotalWireUm
+	}
+	b.ReportMetric(wire, "wire-um")
+}
+
 // BenchmarkSymbolicAnalysis measures Algorithm 1 on a branchy benchmark.
 func BenchmarkSymbolicAnalysis(b *testing.B) {
 	p := bench.ByName("binSearch").MustProg()

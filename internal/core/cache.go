@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -98,8 +99,8 @@ const (
 // TailorCache memoizes tailoring flows by content address (see Key).
 //
 // A hit skips analysis, cutting, re-synthesis and both signoff runs:
-// the bespoke netlist is decoded from its cached encoding and overlaid
-// onto a freshly elaborated core (elaboration is deterministic and cut
+// the bespoke netlist is decoded from its cached encoding and wrapped in
+// the base core's observation map (elaboration is deterministic and cut
 // and re-synthesis stitch gates in place, so gate IDs line up), which
 // keeps the returned cores fully executable and independent between
 // hits. Metric structs and the analysis result are shared with earlier
@@ -117,12 +118,16 @@ type TailorCache struct {
 	maxEnts int
 	maxByts int64
 	disk    *DiskTailorCache
-	// template is a pristine elaboration cloned on every hit, so the hit
-	// path pays two netlist copies instead of two full elaborations. It
-	// is never run or mutated directly.
-	template *cpu.Core
-	baseBin  []byte // canonical encoding of the template netlist
 }
+
+// baseKeyState is the SHA-256 state after hashing the canonical encoding
+// of the base core's netlist, the first input of every Key. Each Key
+// resumes from it instead of hashing the encoding again.
+var baseKeyState = sync.OnceValues(func() ([]byte, error) {
+	h := sha256.New()
+	h.Write(netlist.Encode(cpu.Base().N))
+	return h.(encoding.BinaryMarshaler).MarshalBinary()
+})
 
 type cacheEntry struct {
 	key        Key
@@ -156,15 +161,12 @@ func NewTailorCacheWith(cfg CacheConfig) *TailorCache {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = defaultMaxBytes
 	}
-	template := cpu.Build()
 	tc := &TailorCache{
-		byKey:    map[Key]*list.Element{},
-		lru:      list.New(),
-		maxEnts:  cfg.MaxEntries,
-		maxByts:  cfg.MaxBytes,
-		disk:     cfg.Disk,
-		template: template,
-		baseBin:  netlist.Encode(template.N),
+		byKey:   map[Key]*list.Element{},
+		lru:     list.New(),
+		maxEnts: cfg.MaxEntries,
+		maxByts: cfg.MaxBytes,
+		disk:    cfg.Disk,
 	}
 	if cfg.Disk != nil {
 		tc.stats.DiskSwept = cfg.Disk.Swept()
@@ -343,8 +345,14 @@ func (tc *TailorCache) Key(progs []*asm.Program, ws []*Workload, opts Options) (
 	if opts.Lib != nil {
 		return zero, fmt.Errorf("core: TailorCache does not support custom cell libraries")
 	}
+	state, err := baseKeyState()
+	if err != nil {
+		return zero, err
+	}
 	h := sha256.New()
-	h.Write(tc.baseBin)
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		return zero, err
+	}
 
 	var num [8]byte
 	u64 := func(v uint64) {
@@ -449,23 +457,16 @@ func (tc *TailorCache) rehydrate(ctx context.Context, ent *cacheEntry, prog *asm
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt cached netlist: %w", err)
 	}
-	baseline := tc.template.Clone()
-	baseline.LoadProgram(prog.Bytes, prog.Origin)
-
-	bespoke := tc.template.Clone()
-	if len(n.Gates) != len(bespoke.N.Gates) {
-		return nil, fmt.Errorf("core: cached netlist has %d gates, fresh build has %d",
-			len(n.Gates), len(bespoke.N.Gates))
-	}
 	// Cut and re-synthesis mutate gates without renumbering them, so the
-	// tailored gate table drops onto a fresh elaboration and every wire
-	// and macro pin the core recorded stays valid.
-	bespoke.N.Gates = n.Gates
-	bespoke.N.Modules = n.Modules
-	bespoke.N.Inputs = n.Inputs
-	bespoke.N.Outputs = n.Outputs
-	bespoke.N.InvalidateDerived()
+	// decoded netlist itself becomes the bespoke core's and every wire and
+	// macro pin the base core recorded stays valid.
+	bespoke, err := cpu.BaseWith(n)
+	if err != nil {
+		return nil, fmt.Errorf("core: cached netlist: %w", err)
+	}
 	bespoke.LoadProgram(prog.Bytes, prog.Origin)
+	baseline := cpu.Base()
+	baseline.LoadProgram(prog.Bytes, prog.Origin)
 
 	if lerr := lintGate(ctx, bespoke); lerr != nil {
 		gate := netlist.None

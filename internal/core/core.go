@@ -215,13 +215,9 @@ func keepAlive(core *cpu.Core) []netlist.GateID {
 	return keep
 }
 
-// measure runs signoff for one design point.
-func measure(ctx context.Context, core *cpu.Core, prog *asm.Program, w *Workload, lib *cells.Library, clockPs float64) (Metrics, *RunTrace, error) {
-	place := layout.Place(core.N, lib)
-	timing, err := sta.Analyze(core.N, lib, place, clockPs, blockPaths(core))
-	if err != nil {
-		return Metrics{}, nil, err
-	}
+// measure runs signoff for one placed and timed design point: the
+// workload run and activity-based power at the nominal supply.
+func measure(ctx context.Context, core *cpu.Core, prog *asm.Program, w *Workload, lib *cells.Library, place *layout.Result, timing sta.Report) (Metrics, *RunTrace, error) {
 	trace, err := RunWorkload(ctx, core, prog, w)
 	if err != nil {
 		return Metrics{}, nil, err
@@ -280,7 +276,7 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 	// Gate activity analysis per program; the union of toggled gates
 	// must be retained (gate IDs align across builds: elaboration is
 	// deterministic).
-	baseline := cpu.Build()
+	baseline := cpu.Base()
 	baseline.LoadProgram(progs[0].Bytes, progs[0].Origin)
 
 	stage = "analysis"
@@ -293,18 +289,21 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 	}
 
 	// Baseline signoff. The clock is set so the baseline just meets
-	// timing unless overridden.
+	// timing unless overridden. Placement and timing do not depend on
+	// the program, so they come from the library's shared template.
 	stage = "baseline-signoff"
-	clockPs := opts.ClockPs
-	if clockPs == 0 {
-		place := layout.Place(baseline.N, lib)
-		t, err := sta.Analyze(baseline.N, lib, place, 0, blockPaths(baseline))
-		if err != nil {
+	tmpl, err := templateFor(lib)
+	if err != nil {
+		return nil, stageErr(stage, netlist.None, err)
+	}
+	clockPs, baseTiming := tmpl.clockPs, tmpl.timing
+	if opts.ClockPs != 0 {
+		clockPs = opts.ClockPs
+		if baseTiming, err = sta.Analyze(baseline.N, lib, tmpl.place, clockPs, blockPaths(baseline)); err != nil {
 			return nil, stageErr(stage, netlist.None, err)
 		}
-		clockPs = t.CriticalPs * 1.02
 	}
-	baseMet, _, err := measure(ctx, baseline, progs[0], wsAt(ws, 0), lib, clockPs)
+	baseMet, _, err := measure(ctx, baseline, progs[0], wsAt(ws, 0), lib, tmpl.place, baseTiming)
 	if err != nil {
 		return nil, stageErr(stage, netlist.None, fmt.Errorf("baseline workload: %w", err))
 	}
@@ -361,7 +360,12 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 	}
 
 	stage = "bespoke-signoff"
-	besMet, besTrace, err := measure(ctx, bespoke, progs[0], wsAt(ws, 0), lib, clockPs)
+	besPlace := layout.Place(bespoke.N, lib)
+	besTiming, err := sta.Analyze(bespoke.N, lib, besPlace, clockPs, blockPaths(bespoke))
+	if err != nil {
+		return nil, stageErr(stage, netlist.None, err)
+	}
+	besMet, besTrace, err := measure(ctx, bespoke, progs[0], wsAt(ws, 0), lib, besPlace, besTiming)
 	if err != nil {
 		return nil, stageErr(stage, netlist.None, fmt.Errorf("bespoke workload: %w", err))
 	}
@@ -384,10 +388,9 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 		}
 	}
 
-	// Exploit exposed slack: rerun power at Vmin.
+	// Exploit exposed slack: rerun power at Vmin on the signoff placement.
 	stage = "vmin"
-	place := layout.Place(bespoke.N, lib)
-	pwVmin := power.Analyze(bespoke.N, lib, place, besTrace.Toggles, besTrace.Cycles, clockHz, besMet.Timing.Vmin)
+	pwVmin := power.Analyze(bespoke.N, lib, besPlace, besTrace.Toggles, besTrace.Cycles, clockHz, besMet.Timing.Vmin)
 
 	res = &Result{
 		Baseline:      baseMet,

@@ -56,10 +56,10 @@ type InductSummary struct {
 func proveGate(ctx context.Context, bespoke *cpu.Core, progs []*asm.Program, union *symexec.Result, opts Options) ([]ProofResult, error) {
 	out := make([]ProofResult, 0, len(progs))
 	for pi, p := range progs {
-		// A fresh build per program: elaboration is deterministic, so
-		// gate IDs align with the union analysis; only the ROM image
+		// A private base core per program: elaboration is deterministic,
+		// so gate IDs align with the union analysis; only the ROM image
 		// differs.
-		base := cpu.Build()
+		base := cpu.Base()
 		base.LoadProgram(p.Bytes, p.Origin)
 		env, err := equiv.NewCoreEnv(base, union)
 		if err != nil {

@@ -17,6 +17,9 @@
 package cpu
 
 import (
+	"fmt"
+	"sync"
+
 	"bespoke/internal/builder"
 	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
@@ -159,9 +162,13 @@ func (c *Core) LoadProgram(image []byte, loadAddr uint16) {
 // memory macros; the bespoke flow cuts the clone while the baseline stays
 // intact. Gate IDs are preserved, so analysis arrays and observation
 // buses remain valid for both.
-func (c *Core) Clone() *Core {
+func (c *Core) Clone() *Core { return c.with(c.N.Clone()) }
+
+// with returns a core over n sharing c's observation map, with
+// independent memory macros. n must keep c's gate numbering.
+func (c *Core) with(n *netlist.Netlist) *Core {
 	c2 := *c
-	c2.N = c.N.Clone()
+	c2.N = n
 	c2.RAM = c.RAM.CloneEmpty()
 	c2.ROM = c.ROM.Clone()
 	return &c2
@@ -274,6 +281,34 @@ func Build() *Core {
 		panic("cpu: generated netlist invalid: " + err.Error()) // panic-ok: the generator emitting an invalid netlist is a bug in this package
 	}
 	return g.c
+}
+
+// pristine is the process-wide elaboration Base copies. It is never run,
+// mutated or handed out, and carries no derived netlist tables, so
+// concurrent Clones only read it.
+var pristine = sync.OnceValue(func() *Core {
+	c := Build()
+	c.N.InvalidateDerived()
+	return c
+})
+
+// Base returns a private copy of the elaborated core. Elaboration is
+// deterministic, so the first call builds once per process and every call
+// clones that build: the result equals Build's at the cost of a netlist
+// copy.
+func Base() *Core { return pristine().Clone() }
+
+// BaseWith returns a base core over n instead of a copy of the
+// elaboration's netlist, without copying n. n must keep the elaboration's
+// gate numbering, as a cut and re-synthesized design does (both stages
+// rewrite gates in place), so every recorded wire and macro pin stays
+// valid; a netlist with a different gate count is rejected.
+func BaseWith(n *netlist.Netlist) (*Core, error) {
+	p := pristine()
+	if len(n.Gates) != len(p.N.Gates) {
+		return nil, fmt.Errorf("cpu: netlist has %d gates, the base core has %d", len(n.Gates), len(p.N.Gates))
+	}
+	return p.with(n), nil
 }
 
 // sweepOrphans retires combinational cones that nothing reads. The

@@ -7,8 +7,9 @@
 package layout
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"bespoke/internal/cells"
 	"bespoke/internal/netlist"
@@ -46,7 +47,9 @@ const defaultUtilization = 0.7
 
 // Place performs the toy placement. It is deterministic: an initial
 // topological ordering packs connected logic together, then a few
-// centroid-refinement passes shorten nets.
+// centroid-refinement passes shorten nets. Positions live in the result's
+// X/Y slices throughout, indexed by gate ID; n's lazily built Levels and
+// Fanout tables are computed (and cached on n) if they are not already.
 func Place(n *netlist.Netlist, lib *cells.Library) *Result {
 	r := &Result{
 		Utilization: defaultUtilization,
@@ -56,7 +59,8 @@ func Place(n *netlist.Netlist, lib *cells.Library) *Result {
 	}
 
 	// Real cells to place.
-	var cellsToPlace []netlist.GateID
+	var order []netlist.GateID
+	placed := make([]bool, len(n.Gates))
 	for i := range n.Gates {
 		k := n.Gates[i].Kind
 		switch k {
@@ -64,14 +68,15 @@ func Place(n *netlist.Netlist, lib *cells.Library) *Result {
 			continue
 		}
 		r.CellAreaUm2 += lib.ByKind[k].Area
-		cellsToPlace = append(cellsToPlace, netlist.GateID(i))
+		placed[i] = true
+		order = append(order, netlist.GateID(i))
 	}
-	if len(cellsToPlace) == 0 {
+	if len(order) == 0 {
 		return r
 	}
 	r.AreaUm2 = r.CellAreaUm2 / r.Utilization
 	side := math.Sqrt(r.AreaUm2)
-	cols := int(math.Ceil(math.Sqrt(float64(len(cellsToPlace)))))
+	cols := int(math.Ceil(math.Sqrt(float64(len(order)))))
 	pitch := side / float64(cols)
 
 	// Initial order: topological (levelized) order keeps fanin cones
@@ -80,84 +85,77 @@ func Place(n *netlist.Netlist, lib *cells.Library) *Result {
 	if err != nil {
 		lv = make([]int32, len(n.Gates))
 	}
-	sort.SliceStable(cellsToPlace, func(a, b int) bool { return lv[cellsToPlace[a]] < lv[cellsToPlace[b]] })
+	slices.SortStableFunc(order, func(a, b netlist.GateID) int { return cmp.Compare(lv[a], lv[b]) })
 
-	type pt struct{ x, y float64 }
-	pos := make(map[netlist.GateID]pt, len(cellsToPlace))
-	assign := func(order []netlist.GateID) {
+	assign := func() {
 		for i, id := range order {
-			pos[id] = pt{
-				x: (float64(i%cols) + 0.5) * pitch,
-				y: (float64(i/cols) + 0.5) * pitch,
-			}
+			r.X[id] = (float64(i%cols) + 0.5) * pitch
+			r.Y[id] = (float64(i/cols) + 0.5) * pitch
 		}
 	}
-	assign(cellsToPlace)
-
-	fanout := n.Fanout()
-	neighbors := func(id netlist.GateID, f func(netlist.GateID)) {
-		g := &n.Gates[id]
-		ni := g.Kind.NumInputs()
-		for p := 0; p < ni; p++ {
-			if in := g.In[p]; in != netlist.None {
-				f(in)
-			}
-		}
-		for _, fo := range fanout[id] {
-			f(fo)
-		}
-	}
+	assign()
 
 	// Centroid refinement: move each cell toward the average position of
-	// its neighbors, then re-legalize by sorting back onto the grid.
+	// its placed neighbors (fanin pins in order, then fanout), then
+	// re-legalize by a stable sort on the desired (y, x) back onto the
+	// grid.
+	fanout := n.Fanout()
+	type want struct {
+		id   netlist.GateID
+		x, y float64
+	}
+	desired := make([]want, len(order))
 	for pass := 0; pass < 3; pass++ {
-		desired := make(map[netlist.GateID]pt, len(cellsToPlace))
-		for _, id := range cellsToPlace {
+		for i, id := range order {
 			var sx, sy float64
 			cnt := 0
-			neighbors(id, func(nb netlist.GateID) {
-				if p, ok := pos[nb]; ok {
-					sx += p.x
-					sy += p.y
+			g := &n.Gates[id]
+			for p := 0; p < g.Kind.NumInputs(); p++ {
+				if in := g.In[p]; in != netlist.None && placed[in] {
+					sx += r.X[in]
+					sy += r.Y[in]
 					cnt++
 				}
-			})
+			}
+			for _, fo := range fanout[id] {
+				if placed[fo] {
+					sx += r.X[fo]
+					sy += r.Y[fo]
+					cnt++
+				}
+			}
 			if cnt == 0 {
-				desired[id] = pos[id]
+				desired[i] = want{id, r.X[id], r.Y[id]}
 			} else {
-				desired[id] = pt{sx / float64(cnt), sy / float64(cnt)}
+				desired[i] = want{id, sx / float64(cnt), sy / float64(cnt)}
 			}
 		}
-		sort.SliceStable(cellsToPlace, func(a, b int) bool {
-			da, db := desired[cellsToPlace[a]], desired[cellsToPlace[b]]
-			if da.y != db.y {
-				return da.y < db.y
+		slices.SortStableFunc(desired, func(a, b want) int {
+			if c := cmp.Compare(a.y, b.y); c != 0 {
+				return c
 			}
-			return da.x < db.x
+			return cmp.Compare(a.x, b.x)
 		})
-		assign(cellsToPlace)
-	}
-
-	for id, p := range pos {
-		r.X[id], r.Y[id] = p.x, p.y
+		for i := range desired {
+			order[i] = desired[i].id
+		}
+		assign()
 	}
 
 	// Half-perimeter wirelength per net.
-	for _, id := range cellsToPlace {
+	for _, id := range order {
 		if len(fanout[id]) == 0 {
 			continue
 		}
-		p := pos[id]
-		minX, maxX, minY, maxY := p.x, p.x, p.y, p.y
+		minX, maxX, minY, maxY := r.X[id], r.X[id], r.Y[id], r.Y[id]
 		for _, fo := range fanout[id] {
-			q, ok := pos[fo]
-			if !ok {
+			if !placed[fo] {
 				continue
 			}
-			minX = math.Min(minX, q.x)
-			maxX = math.Max(maxX, q.x)
-			minY = math.Min(minY, q.y)
-			maxY = math.Max(maxY, q.y)
+			minX = math.Min(minX, r.X[fo])
+			maxX = math.Max(maxX, r.X[fo])
+			minY = math.Min(minY, r.Y[fo])
+			maxY = math.Max(maxY, r.Y[fo])
 		}
 		l := (maxX - minX) + (maxY - minY)
 		r.WireLenUm[id] = l

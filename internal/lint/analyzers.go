@@ -3,7 +3,7 @@
 // sorts and concatenates them. All analyzers must tolerate malformed
 // netlists (out-of-range pins, unknown kinds) without panicking — range
 // defects are reported by floating-input and cell-lib, and the shared
-// fanout table already excludes invalid edges.
+// reader table already excludes invalid edges.
 
 package lint
 
@@ -47,6 +47,7 @@ func lintCombLoops(d *design) []Finding {
 		findings []Finding
 		counter  int32
 		sccStack []netlist.GateID
+		scc      []netlist.GateID // the component being popped, reused
 	)
 	// edges returns the combinational fan-in of gate v (the cycle, if
 	// any, is closed through input edges between comb gates).
@@ -68,13 +69,14 @@ func lintCombLoops(d *design) []Finding {
 	type frame struct {
 		v   netlist.GateID
 		pin int
+		e   [3]netlist.GateID // edges(v)
 	}
 	var stack []frame
 	for root := range n.Gates {
 		if index[root] != unvisited || !isComb(n.Gates[root].Kind) {
 			continue
 		}
-		stack = append(stack[:0], frame{netlist.GateID(root), 0})
+		stack = append(stack[:0], frame{netlist.GateID(root), 0, edges(netlist.GateID(root))})
 		index[root] = counter
 		low[root] = counter
 		counter++
@@ -82,16 +84,15 @@ func lintCombLoops(d *design) []Finding {
 		onStack[root] = true
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			e := edges(f.v)
-			if f.pin < len(e) {
-				w := e[f.pin]
+			if f.pin < len(f.e) {
+				w := f.e[f.pin]
 				f.pin++
 				if w == netlist.None {
 					continue
 				}
 				switch {
 				case index[w] == unvisited:
-					stack = append(stack, frame{w, 0})
+					stack = append(stack, frame{w, 0, edges(w)})
 					index[w] = counter
 					low[w] = counter
 					counter++
@@ -115,7 +116,7 @@ func lintCombLoops(d *design) []Finding {
 				continue
 			}
 			// v is an SCC root: pop its component.
-			var scc []netlist.GateID
+			scc = scc[:0]
 			for {
 				w := sccStack[len(sccStack)-1]
 				sccStack = sccStack[:len(sccStack)-1]
@@ -344,7 +345,7 @@ func lintUnreadOutputs(d *design) []Finding {
 		if isPseudo(g.Kind) || int(g.Kind) >= netlist.NumKinds {
 			continue
 		}
-		if len(d.fanout[i]) > 0 || d.output[i] || d.keepAlive[i] {
+		if d.read[i] || d.output[i] || d.keepAlive[i] {
 			continue
 		}
 		findings = append(findings, Finding{

@@ -186,12 +186,12 @@ func Analyzers() []string {
 }
 
 // design is the immutable view shared by all analyzers of one run. The
-// fanout table is precomputed here (netlist.Fanout caches lazily and is
+// reader table is precomputed here (netlist.Fanout caches lazily and is
 // not safe to build concurrently) and out-of-range pins are excluded
 // from it, so analyzers index it without re-validating.
 type design struct {
 	n         *netlist.Netlist
-	fanout    [][]netlist.GateID
+	read      []bool // gate's net feeds at least one gate input pin
 	output    []bool // gate drives a primary output port
 	keepAlive []bool // gate is externally observed (Config.KeepAlive)
 	lib       *cells.Library
@@ -205,7 +205,7 @@ func (d *design) valid(id netlist.GateID) bool {
 func newDesign(n *netlist.Netlist, cfg *Config) *design {
 	d := &design{
 		n:         n,
-		fanout:    make([][]netlist.GateID, len(n.Gates)),
+		read:      make([]bool, len(n.Gates)),
 		output:    make([]bool, len(n.Gates)),
 		keepAlive: make([]bool, len(n.Gates)),
 		lib:       cfg.Lib,
@@ -218,7 +218,7 @@ func newDesign(n *netlist.Netlist, cfg *Config) *design {
 		ni := g.Kind.NumInputs()
 		for p := 0; p < ni; p++ {
 			if in := g.In[p]; in != netlist.None && d.valid(in) {
-				d.fanout[in] = append(d.fanout[in], netlist.GateID(i))
+				d.read[in] = true
 			}
 		}
 	}

@@ -85,9 +85,9 @@ func Decode(data []byte) (*Netlist, error) {
 	if d.err == nil && nGates > uint64(len(data)) {
 		return nil, fmt.Errorf("netlist: gate count %d exceeds input size", nGates)
 	}
-	n.Gates = make([]Gate, 0, nGates)
+	n.Gates = make([]Gate, nGates)
 	for i := uint64(0); i < nGates && d.err == nil; i++ {
-		var g Gate
+		g := &n.Gates[i]
 		g.Kind = Kind(d.byte("gate kind"))
 		g.Reset = logic.V(d.byte("gate reset"))
 		for p := 0; p < 3; p++ {
@@ -108,7 +108,6 @@ func Decode(data []byte) (*Netlist, error) {
 				}
 			}
 		}
-		n.Gates = append(n.Gates, g)
 	}
 	nIn := d.uvarint("input count")
 	if d.err == nil && nIn > uint64(len(data)) {
@@ -180,6 +179,15 @@ func (d *decoder) uvarint(what string) uint64 {
 	if d.err != nil {
 		return 0
 	}
+	// Inline the one- and two-byte forms (modules, name lengths and the
+	// gate IDs of a core-sized netlist); longer ones take the library path.
+	if p := d.pos; p < len(d.data) && d.data[p] < 0x80 {
+		d.pos++
+		return uint64(d.data[p])
+	} else if p+1 < len(d.data) && d.data[p+1] < 0x80 {
+		d.pos += 2
+		return uint64(d.data[p]&0x7f) | uint64(d.data[p+1])<<7
+	}
 	v, k := binary.Uvarint(d.data[d.pos:])
 	if k <= 0 {
 		d.fail(what)
@@ -189,17 +197,14 @@ func (d *decoder) uvarint(what string) uint64 {
 	return v
 }
 
+// varint undoes the zig-zag mapping binary.AppendVarint applies.
 func (d *decoder) varint(what string) int64 {
-	if d.err != nil {
-		return 0
+	ux := d.uvarint(what)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	v, k := binary.Varint(d.data[d.pos:])
-	if k <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.pos += k
-	return v
+	return x
 }
 
 func (d *decoder) str(what string) string {

@@ -259,11 +259,12 @@ func (a *analyzer) recordDomains() {
 }
 
 // Analyze runs input-independent gate activity analysis of prog on a
-// freshly built core and returns the per-gate activity verdicts. The
-// context bounds the exploration: cancellation or a deadline aborts the
-// analysis with a *LimitError carrying partial-progress diagnostics.
+// private copy of the base core (cpu.Base) and returns the per-gate
+// activity verdicts. The context bounds the exploration: cancellation or
+// a deadline aborts the analysis with a *LimitError carrying
+// partial-progress diagnostics.
 func Analyze(ctx context.Context, prog *asm.Program, opts Options) (*Result, *cpu.Core, error) {
-	core := cpu.Build()
+	core := cpu.Base()
 	core.LoadProgram(prog.Bytes, prog.Origin)
 	res, err := AnalyzeOn(ctx, core, opts)
 	return res, core, err
