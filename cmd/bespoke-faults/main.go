@@ -9,12 +9,11 @@
 // Usage:
 //
 //	bespoke-faults [-bench all|quick|name,...] [-faults N] [-seu N] [-set N]
-//	               [-set-budget F] [-map] [-markdown] [-scalar]
+//	               [-set-budget F] [-map] [-markdown]
 //	               [-workers N] [-seed S] [-timeout D]
 //
-// Campaigns run on the bit-parallel backend by default (63 faulty worlds
-// plus a golden guard lane per simulator pass); -scalar forces the
-// one-run-per-fault engine. Either way the summary and the -markdown
+// Campaigns run on the bit-parallel engine (63 faulty worlds plus a
+// golden guard lane per simulator pass). The summary and the -markdown
 // tables report campaign throughput (injections/sec, lanes/batch).
 //
 // The command exits nonzero if any claimed-constant injection diverges
@@ -46,7 +45,6 @@ func main() {
 	setBudget := flag.Float64("set-budget", 0, "tolerated visible SET fraction on the bespoke design (0 = report only, negative = zero tolerance)")
 	showMap := flag.Bool("map", false, "print the per-module SET vulnerability maps")
 	markdown := flag.Bool("markdown", false, "render tables as markdown (for the experiment docs)")
-	scalar := flag.Bool("scalar", false, "force the scalar one-run-per-fault backend instead of 64-lane batches")
 	workers := flag.Int("workers", 0, "worker pool width (0 = GOMAXPROCS)")
 	seed := flag.Uint64("seed", 1, "campaign sampling seed")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for all campaigns (0 = unlimited)")
@@ -64,7 +62,7 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := campaignConfig{
-		opts:      faultinject.Options{Workers: *workers, MaxFaults: *faults, Seed: *seed, Scalar: *scalar},
+		opts:      faultinject.Options{Workers: *workers, MaxFaults: *faults, Seed: *seed},
 		seus:      *seus,
 		sets:      *sets,
 		setBudget: *setBudget,
@@ -236,12 +234,8 @@ func run(ctx context.Context, list []*bench.Benchmark, cfg campaignConfig) error
 		render(modT)
 	}
 	render(thrT)
-	backend := "bit-parallel"
-	if cfg.opts.Scalar {
-		backend = "scalar"
-	}
-	fmt.Printf("\n%s backend: %d injections across %d simulator passes (%d lanes/batch) in %.2fs — %s injections/sec\n",
-		backend, total.injections, total.batches, total.lanes, total.elapsed.Seconds(), total.rate())
+	fmt.Printf("\n%d injections across %d simulator passes (%d lanes/batch) in %.2fs — %s injections/sec\n",
+		total.injections, total.batches, total.lanes, total.elapsed.Seconds(), total.rate())
 	if bad > 0 {
 		return fmt.Errorf("%d benchmark(s) had claimed-constant divergence: the analysis is unsound", bad)
 	}

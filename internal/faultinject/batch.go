@@ -1,12 +1,9 @@
-// The batched campaign backend: 63 faulty worlds plus one golden lane
-// per bitsim instance. Lane 0 always re-runs the fault-free workload and
-// must reproduce the golden reference bit-exactly — a cheap per-batch
+// The campaign backend: 63 faulty worlds plus one golden lane per
+// bitsim instance. Lane 0 always re-runs the fault-free workload and
+// must reproduce the scalar golden run bit-exactly — a cheap per-batch
 // guard that the bit-parallel engine agrees with the scalar one before
-// any fault outcome is trusted. Fault lanes are classified with exactly
-// the scalar injectOne rules; faults the engine cannot host in a lane
-// (an SEU aimed at a non-flip-flop, which the scalar path classifies by
-// recovering the simulation panic) fall back to the scalar path so the
-// two backends stay outcome-identical on any input.
+// any fault outcome is trusted. Fault lanes are classified against the
+// golden run: masked, latched-silent, SDC or hang.
 package faultinject
 
 import (
@@ -18,7 +15,6 @@ import (
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/logic"
-	"bespoke/internal/netlist"
 	"bespoke/internal/parallel"
 )
 
@@ -27,8 +23,8 @@ import (
 const faultLanes = bitsim.Lanes - 1
 
 // runCampaignBatched fans the fault list out in chunks of 63, one batch
-// per simulator instance, over the shared worker pool. Outcomes land in
-// the same per-index slice the scalar backend fills.
+// per simulator instance, over the shared worker pool. outcomes[i]
+// receives faults[i]'s result; sites must already be validated.
 func runCampaignBatched(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Workload, g *Golden, faults []Fault, opts Options) ([]*Result, int, error) {
 	outcomes := make([]*Result, len(faults))
 	nBatch := (len(faults) + faultLanes - 1) / faultLanes
@@ -54,48 +50,23 @@ func injectBatch(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Wo
 	if err != nil {
 		return err
 	}
-	s := h.S
 
 	// Configure lanes: lane 0 is golden, fault i lives in lane i+1.
-	// Stuck-ats are validated and pinned now; SEU/SET strikes are
-	// scheduled by cycle for the hook.
+	// Stuck-ats are pinned now; SEU/SET strikes are scheduled by cycle
+	// for the hook.
 	byCycle := map[uint64][]strike{}
-	var fallback []int
-	for ci := range chunk {
-		f := chunk[ci]
+	for ci, f := range chunk {
 		lane := ci + 1
-		switch {
-		case f.Pulse:
-			if int(f.Gate) < 0 || int(f.Gate) >= len(c.N.Gates) {
-				return fmt.Errorf("faultinject: gate %d out of range", f.Gate)
-			}
-			if k := c.N.Gates[f.Gate].Kind; k.IsSeq() || k.NumInputs() == 0 {
-				return fmt.Errorf("faultinject: gate %d (%s) is not a combinational SET site", f.Gate, k)
-			}
+		if f.Pulse || f.Transient {
 			byCycle[f.Cycle] = append(byCycle[f.Cycle], strike{lane, ci, f})
-		case f.Transient:
-			if int(f.Gate) < 0 || int(f.Gate) >= len(c.N.Gates) || c.N.Gates[f.Gate].Kind != netlist.Dff {
-				// The scalar path classifies this by recovering the
-				// simulation panic; reproduce its outcome scalar-ly.
-				fallback = append(fallback, ci)
-				continue
-			}
-			byCycle[f.Cycle] = append(byCycle[f.Cycle], strike{lane, ci, f})
-		default:
-			if int(f.Gate) < 0 || int(f.Gate) >= len(c.N.Gates) {
-				return fmt.Errorf("faultinject: gate %d out of range", f.Gate)
-			}
-			switch k := c.N.Gates[f.Gate].Kind; k {
-			case netlist.Input, netlist.Const0, netlist.Const1:
-				return fmt.Errorf("faultinject: gate %d (%s) is not a fault site", f.Gate, k)
-			}
-			v := logic.Zero // the scalar rewrite maps anything but One to Const0
-			if f.StuckAt == logic.One {
-				v = logic.One
-			}
-			if err := s.ForceLane(f.Gate, lane, v); err != nil {
-				return err
-			}
+			continue
+		}
+		v := logic.Zero // anything but One ties the gate to Const0
+		if f.StuckAt == logic.One {
+			v = logic.One
+		}
+		if err := h.S.ForceLane(f.Gate, lane, v); err != nil {
+			return err
 		}
 	}
 
@@ -132,7 +103,7 @@ func injectBatch(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Wo
 		before = h.S.DffDSnapshotPlanes(before)
 		for _, st := range pulses {
 			if _, err := h.S.InjectPulseLane(st.f.Gate, st.lane); err != nil {
-				return // unreachable: sites were validated above
+				return // unreachable: runCampaign validated every site
 			}
 		}
 		h.S.Settle()
@@ -195,17 +166,8 @@ func injectBatch(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Wo
 			default:
 				res = Result{Fault: f, Outcome: Masked}
 			}
-		default: // poisoned or over budget: the scalar run errors out
+		default: // X-poisoned or over the cycle budget
 			res = Result{Fault: f, Outcome: Hang, Detail: truncate(lane.Detail)}
-		}
-		out[ci] = &res
-	}
-
-	// Faults the batch could not host run one-at-a-time on a clone.
-	for _, ci := range fallback {
-		res, err := injectOne(ctx, c.Clone(), prog, w, g, chunk[ci], opts)
-		if err != nil {
-			return err
 		}
 		out[ci] = &res
 	}

@@ -15,8 +15,8 @@ import (
 
 // TestBatchedMatchesScalarOutcomes is the backend-equality oracle: a
 // mixed campaign of stuck-ats, SEUs and SETs must classify every fault
-// identically on the bit-parallel and the one-run-per-fault backends —
-// same outcome, same detail, same order.
+// on the bit-parallel backend exactly as the one-run-per-fault reference
+// (reference_test.go) does — same outcome, same detail, same order.
 func TestBatchedMatchesScalarOutcomes(t *testing.T) {
 	res, prog, w := multSetup(t)
 	c := cpu.Build()
@@ -65,7 +65,7 @@ func TestBatchedMatchesScalarOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := Campaign(context.Background(), c, prog, w, faults, Options{Seed: 5, Scalar: true})
+	scalar, err := referenceCampaign(context.Background(), c, prog, w, g, faults, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,19 +109,19 @@ func TestBatchedMatchesScalarOutcomes(t *testing.T) {
 			t.Fatalf("diverged order: %v vs %v", batched.Diverged[i].Fault, scalar.Diverged[i].Fault)
 		}
 	}
-	if batched.Batches >= scalar.Batches {
-		t.Fatalf("batched built %d instances, scalar %d: batching had no effect", batched.Batches, scalar.Batches)
+	if want := (len(faults) + faultLanes - 1) / faultLanes; batched.Batches != want {
+		t.Fatalf("batched built %d instances, want %d", batched.Batches, want)
 	}
-	if batched.LanesPerBatch != faultLanes+1 || scalar.LanesPerBatch != 1 {
-		t.Fatalf("lane accounting: batched %d, scalar %d", batched.LanesPerBatch, scalar.LanesPerBatch)
+	if batched.LanesPerBatch != faultLanes+1 {
+		t.Fatalf("lane accounting: batched %d lanes per batch, want %d", batched.LanesPerBatch, faultLanes+1)
 	}
 	if batched.Elapsed <= 0 || scalar.Elapsed <= 0 {
 		t.Fatalf("elapsed not recorded: batched %v, scalar %v", batched.Elapsed, scalar.Elapsed)
 	}
 }
 
-// TestSEUCampaignBackendEquality runs the public SEU entry point on both
-// backends with the same seed: the (site, cycle) schedule and every
+// TestSEUCampaignBackendEquality runs the public SEU entry point and the
+// reference with the same seed: the (site, cycle) schedule and every
 // outcome must be identical.
 func TestSEUCampaignBackendEquality(t *testing.T) {
 	_, prog, w := multSetup(t)
@@ -133,7 +133,7 @@ func TestSEUCampaignBackendEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := SEUCampaign(context.Background(), cpu.Build(), prog, w, n, Options{Seed: 11, Scalar: true})
+	scalar, err := referenceSEU(context.Background(), cpu.Build(), prog, w, n, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +226,9 @@ func TestBatchedGoldenLaneGuard(t *testing.T) {
 	}
 }
 
-// TestBatchedStuckAtXMatchesScalar: the scalar rewrite maps a stuck-at-X
-// request to Const0; the batched backend must do the same rather than
-// reject it.
+// TestBatchedStuckAtXMatchesScalar: the reference's netlist rewrite maps
+// a stuck-at-X request to Const0; the batched backend must do the same
+// rather than reject it.
 func TestBatchedStuckAtXMatchesScalar(t *testing.T) {
 	res, prog, w := multSetup(t)
 	c := cpu.Build()
@@ -238,13 +238,24 @@ func TestBatchedStuckAtXMatchesScalar(t *testing.T) {
 	}
 	f := claimed[0]
 	f.StuckAt = logic.X
-	for _, opts := range []Options{{}, {Scalar: true}} {
-		rep, err := Campaign(context.Background(), c, prog, w, []Fault{f}, opts)
-		if err != nil {
-			t.Fatalf("scalar=%v: %v", opts.Scalar, err)
-		}
+	g, err := GoldenRun(context.Background(), c, prog, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := Campaign(context.Background(), c, prog, w, []Fault{f}, Options{})
+	if err != nil {
+		t.Fatalf("batched: %v", err)
+	}
+	scalar, err := referenceCampaign(context.Background(), c, prog, w, g, []Fault{f}, Options{})
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	for _, rep := range []*Report{batched, scalar} {
 		if rep.Injected != 1 {
-			t.Fatalf("scalar=%v: injected %d", opts.Scalar, rep.Injected)
+			t.Fatalf("injected %d", rep.Injected)
 		}
+	}
+	if b, s := batched.Results[0], scalar.Results[0]; b.Outcome != s.Outcome || b.Detail != s.Detail {
+		t.Fatalf("stuck-at-X: batched %v (%s), reference %v (%s)", b.Outcome, b.Detail, s.Outcome, s.Detail)
 	}
 }

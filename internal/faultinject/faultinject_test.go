@@ -277,25 +277,51 @@ func TestModuleMap(t *testing.T) {
 	}
 }
 
-// TestSETPulseRejectsBadSites: SET faults aimed at flip-flops, inputs
-// or out-of-range gates are campaign errors, not silent no-ops.
-func TestSETPulseRejectsBadSites(t *testing.T) {
+// TestCampaignRejectsBadSites: a fault aimed at a gate its kind cannot
+// strike, or at a gate out of range, is a campaign error, not a silent
+// no-op or a hang. SETs need a combinational gate, SEUs a flip-flop,
+// stuck-ats any real cell.
+func TestCampaignRejectsBadSites(t *testing.T) {
 	_, prog, w := multSetup(t)
 	c := cpu.Build()
-	var dff netlist.GateID = netlist.None
-	for i := range c.N.Gates {
-		if c.N.Gates[i].Kind == netlist.Dff {
-			dff = netlist.GateID(i)
-			break
+	first := func(pred func(netlist.Kind) bool) netlist.GateID {
+		for i := range c.N.Gates {
+			if pred(c.N.Gates[i].Kind) {
+				return netlist.GateID(i)
+			}
 		}
+		t.Fatal("no gate of the wanted kind")
+		return netlist.None
 	}
+	dff := first(func(k netlist.Kind) bool { return k == netlist.Dff })
+	comb := first(func(k netlist.Kind) bool { return !k.IsSeq() && k.NumInputs() > 0 })
+	input := first(func(k netlist.Kind) bool { return k == netlist.Input })
+	const0 := first(func(k netlist.Kind) bool { return k == netlist.Const0 })
+	outOfRange := netlist.GateID(len(c.N.Gates))
 	for _, f := range []Fault{
 		{Gate: dff, Pulse: true},
-		{Gate: netlist.GateID(len(c.N.Gates)), Pulse: true},
+		{Gate: outOfRange, Pulse: true},
+		{Gate: comb, Transient: true, Cycle: 1},
+		{Gate: outOfRange, Transient: true, Cycle: 1},
+		{Gate: input, StuckAt: logic.One},
+		{Gate: const0, StuckAt: logic.One},
+		{Gate: outOfRange, StuckAt: logic.Zero},
 	} {
 		if _, err := Campaign(context.Background(), c, prog, w, []Fault{f}, Options{}); err == nil {
-			t.Fatalf("campaign accepted invalid SET site %v", f)
+			t.Errorf("campaign accepted invalid site %v", f)
 		}
+	}
+}
+
+// TestCampaignRejectsNegativeSize: a negative SEU or SET campaign size
+// is an error, not a makeslice panic.
+func TestCampaignRejectsNegativeSize(t *testing.T) {
+	_, prog, w := multSetup(t)
+	if _, err := SEUCampaign(context.Background(), cpu.Build(), prog, w, -1, Options{}); err == nil {
+		t.Error("SEUCampaign accepted size -1")
+	}
+	if _, err := SETCampaign(context.Background(), cpu.Build(), prog, w, -1, Options{}); err == nil {
+		t.Error("SETCampaign accepted size -1")
 	}
 }
 

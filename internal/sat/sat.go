@@ -181,9 +181,6 @@ func (s *Solver) NewVar() Var {
 	return v
 }
 
-// NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assign) }
-
 // SetBudget caps the number of conflicts a single Solve call may spend
 // before returning Unknown. Zero (the default) means no cap.
 func (s *Solver) SetBudget(conflicts int64) { s.budget = conflicts }
@@ -741,19 +738,6 @@ func (s *Solver) Value(v Var) bool {
 		panic("sat: Value called without a model") // panic-ok: Value without a model is API misuse, documented on the method
 	}
 	return s.model[v] == lTrue
-}
-
-// Model returns the satisfying assignment as a bool slice indexed by
-// variable, or nil when the last Solve was not Sat.
-func (s *Solver) Model() []bool {
-	if s.model == nil {
-		return nil
-	}
-	m := make([]bool, len(s.model))
-	for i, v := range s.model {
-		m[i] = v == lTrue
-	}
-	return m
 }
 
 // FailedAssumptions returns the subset of the last Solve's assumptions
