@@ -16,6 +16,7 @@ import (
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/cut"
+	"bespoke/internal/equiv"
 	"bespoke/internal/experiments"
 	"bespoke/internal/faultinject"
 	"bespoke/internal/layout"
@@ -303,6 +304,44 @@ func BenchmarkCutAndResynthesis(b *testing.B) {
 		kept = n2.N.CellCount()
 	}
 	b.ReportMetric(float64(kept), "kept-gates")
+}
+
+// BenchmarkProveMiter measures the base-vs-bespoke miter on tea8, the
+// benchmark whose miter was slowest as one monolithic solve. The
+// analysis, the claim proofs, and the honest cut and re-synthesis are
+// built outside the timer.
+func BenchmarkProveMiter(b *testing.B) {
+	ctx := context.Background()
+	res, c, err := symexec.Analyze(ctx, bench.ByName("tea8").MustProg(), symexec.Options{RecordDomains: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := equiv.NewCoreEnv(c, res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := equiv.ProveClaims(ctx, env, equiv.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bespoke := c.Clone()
+	if _, err := cut.Apply(bespoke.N, res.Toggled, res.ConstVal); err != nil {
+		b.Fatal(err)
+	}
+	synth.Optimize(bespoke.N, append(bespoke.ROM.Inputs(), bespoke.RAM.Inputs()...))
+	var mres *equiv.MiterResult
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mres, err = equiv.ProveMiter(ctx, env, bespoke.N, rep, equiv.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !mres.Equivalent {
+			b.Fatalf("honest tea8 miter inequivalent at %q", mres.Mismatch)
+		}
+	}
+	b.ReportMetric(float64(mres.SATQueries), "sat-queries")
+	b.ReportMetric(float64(mres.Merged), "merged-gates")
 }
 
 // BenchmarkTailorFlow measures the complete flow end to end.

@@ -69,6 +69,12 @@ type result struct {
 	Timeout  bool    `json:"timeout,omitempty"`
 	Error    string  `json:"error,omitempty"`
 
+	// Miter work: solver calls, their conflicts, and bespoke gates
+	// merged onto their base twin's variable.
+	MiterQueries   int64 `json:"miter_sat_queries"`
+	MiterConflicts int64 `json:"miter_conflicts"`
+	MiterMerged    int   `json:"miter_merged"`
+
 	// Inductive strengthening summary (present with -induct).
 	K              int            `json:"induct_k,omitempty"`
 	Invariants     int            `json:"invariants,omitempty"`
@@ -300,6 +306,9 @@ func prove(ctx context.Context, tg target, cfg proveConfig) (r result) {
 	}
 	r.Miter = mres.Equivalent
 	r.MiterObs = mres.Obligations
+	r.MiterQueries = mres.SATQueries
+	r.MiterConflicts = mres.Conflicts
+	r.MiterMerged = mres.Merged
 	return r
 }
 
@@ -318,10 +327,12 @@ func writeText(w *os.File, r result) {
 	}
 	miter := "-"
 	if r.MiterObs > 0 {
-		miter = fmt.Sprintf("ok/%d", r.MiterObs)
+		verdict := "ok"
 		if !r.Miter {
-			miter = fmt.Sprintf("FAIL/%d", r.MiterObs)
+			verdict = "FAIL"
 		}
+		miter = fmt.Sprintf("%s/%d (%d queries, %d conflicts, %d merged)",
+			verdict, r.MiterObs, r.MiterQueries, r.MiterConflicts, r.MiterMerged)
 	}
 	ind := ""
 	if r.K > 0 {

@@ -50,71 +50,80 @@ func NewFrame(s *sat.Solver, n *netlist.Netlist, shared map[netlist.GateID]sat.V
 		}
 	}
 	for i := range n.Gates {
-		g := &n.Gates[i]
-		v := f.vars[i]
-		in := func(p int) sat.Var { return f.vars[g.In[p]] }
-		switch g.Kind {
-		case netlist.Const0:
-			s.AddClause(sat.Neg(v))
-		case netlist.Const1:
-			s.AddClause(sat.Pos(v))
-		case netlist.Input, netlist.Dff:
-			// Free.
-		case netlist.Buf:
-			a := in(0)
-			s.AddClause(sat.Neg(v), sat.Pos(a))
-			s.AddClause(sat.Pos(v), sat.Neg(a))
-		case netlist.Not:
-			a := in(0)
-			s.AddClause(sat.Neg(v), sat.Neg(a))
-			s.AddClause(sat.Pos(v), sat.Pos(a))
-		case netlist.And:
-			a, b := in(0), in(1)
-			s.AddClause(sat.Neg(v), sat.Pos(a))
-			s.AddClause(sat.Neg(v), sat.Pos(b))
-			s.AddClause(sat.Pos(v), sat.Neg(a), sat.Neg(b))
-		case netlist.Nand:
-			a, b := in(0), in(1)
-			s.AddClause(sat.Pos(v), sat.Pos(a))
-			s.AddClause(sat.Pos(v), sat.Pos(b))
-			s.AddClause(sat.Neg(v), sat.Neg(a), sat.Neg(b))
-		case netlist.Or:
-			a, b := in(0), in(1)
-			s.AddClause(sat.Pos(v), sat.Neg(a))
-			s.AddClause(sat.Pos(v), sat.Neg(b))
-			s.AddClause(sat.Neg(v), sat.Pos(a), sat.Pos(b))
-		case netlist.Nor:
-			a, b := in(0), in(1)
-			s.AddClause(sat.Neg(v), sat.Neg(a))
-			s.AddClause(sat.Neg(v), sat.Neg(b))
-			s.AddClause(sat.Pos(v), sat.Pos(a), sat.Pos(b))
-		case netlist.Xor:
-			a, b := in(0), in(1)
-			s.AddClause(sat.Neg(v), sat.Pos(a), sat.Pos(b))
-			s.AddClause(sat.Neg(v), sat.Neg(a), sat.Neg(b))
-			s.AddClause(sat.Pos(v), sat.Neg(a), sat.Pos(b))
-			s.AddClause(sat.Pos(v), sat.Pos(a), sat.Neg(b))
-		case netlist.Xnor:
-			a, b := in(0), in(1)
-			s.AddClause(sat.Pos(v), sat.Pos(a), sat.Pos(b))
-			s.AddClause(sat.Pos(v), sat.Neg(a), sat.Neg(b))
-			s.AddClause(sat.Neg(v), sat.Neg(a), sat.Pos(b))
-			s.AddClause(sat.Neg(v), sat.Pos(a), sat.Neg(b))
-		case netlist.Mux:
-			a, b, sel := in(0), in(1), in(2)
-			// v = sel ? b : a
-			s.AddClause(sat.Neg(sel), sat.Neg(b), sat.Pos(v))
-			s.AddClause(sat.Neg(sel), sat.Pos(b), sat.Neg(v))
-			s.AddClause(sat.Pos(sel), sat.Neg(a), sat.Pos(v))
-			s.AddClause(sat.Pos(sel), sat.Pos(a), sat.Neg(v))
-			// Redundant but propagation-strengthening: both data equal.
-			s.AddClause(sat.Pos(a), sat.Pos(b), sat.Neg(v))
-			s.AddClause(sat.Neg(a), sat.Neg(b), sat.Pos(v))
-		default:
-			return nil, fmt.Errorf("equiv: cannot encode gate %d of kind %s", i, g.Kind)
+		if err := encodeGate(s, n, netlist.GateID(i), f.vars); err != nil {
+			return nil, err
 		}
 	}
 	return f, nil
+}
+
+// encodeGate adds the Tseitin clauses tying gate id's variable vars[id]
+// to the variables of its input pins. Input and Dff gates are free.
+func encodeGate(s *sat.Solver, n *netlist.Netlist, id netlist.GateID, vars []sat.Var) error {
+	g := &n.Gates[id]
+	v := vars[id]
+	in := func(p int) sat.Var { return vars[g.In[p]] }
+	switch g.Kind {
+	case netlist.Const0:
+		s.AddClause(sat.Neg(v))
+	case netlist.Const1:
+		s.AddClause(sat.Pos(v))
+	case netlist.Input, netlist.Dff:
+		// Free.
+	case netlist.Buf:
+		a := in(0)
+		s.AddClause(sat.Neg(v), sat.Pos(a))
+		s.AddClause(sat.Pos(v), sat.Neg(a))
+	case netlist.Not:
+		a := in(0)
+		s.AddClause(sat.Neg(v), sat.Neg(a))
+		s.AddClause(sat.Pos(v), sat.Pos(a))
+	case netlist.And:
+		a, b := in(0), in(1)
+		s.AddClause(sat.Neg(v), sat.Pos(a))
+		s.AddClause(sat.Neg(v), sat.Pos(b))
+		s.AddClause(sat.Pos(v), sat.Neg(a), sat.Neg(b))
+	case netlist.Nand:
+		a, b := in(0), in(1)
+		s.AddClause(sat.Pos(v), sat.Pos(a))
+		s.AddClause(sat.Pos(v), sat.Pos(b))
+		s.AddClause(sat.Neg(v), sat.Neg(a), sat.Neg(b))
+	case netlist.Or:
+		a, b := in(0), in(1)
+		s.AddClause(sat.Pos(v), sat.Neg(a))
+		s.AddClause(sat.Pos(v), sat.Neg(b))
+		s.AddClause(sat.Neg(v), sat.Pos(a), sat.Pos(b))
+	case netlist.Nor:
+		a, b := in(0), in(1)
+		s.AddClause(sat.Neg(v), sat.Neg(a))
+		s.AddClause(sat.Neg(v), sat.Neg(b))
+		s.AddClause(sat.Pos(v), sat.Pos(a), sat.Pos(b))
+	case netlist.Xor:
+		a, b := in(0), in(1)
+		s.AddClause(sat.Neg(v), sat.Pos(a), sat.Pos(b))
+		s.AddClause(sat.Neg(v), sat.Neg(a), sat.Neg(b))
+		s.AddClause(sat.Pos(v), sat.Neg(a), sat.Pos(b))
+		s.AddClause(sat.Pos(v), sat.Pos(a), sat.Neg(b))
+	case netlist.Xnor:
+		a, b := in(0), in(1)
+		s.AddClause(sat.Pos(v), sat.Pos(a), sat.Pos(b))
+		s.AddClause(sat.Pos(v), sat.Neg(a), sat.Neg(b))
+		s.AddClause(sat.Neg(v), sat.Neg(a), sat.Pos(b))
+		s.AddClause(sat.Neg(v), sat.Pos(a), sat.Neg(b))
+	case netlist.Mux:
+		a, b, sel := in(0), in(1), in(2)
+		// v = sel ? b : a
+		s.AddClause(sat.Neg(sel), sat.Neg(b), sat.Pos(v))
+		s.AddClause(sat.Neg(sel), sat.Pos(b), sat.Neg(v))
+		s.AddClause(sat.Pos(sel), sat.Neg(a), sat.Pos(v))
+		s.AddClause(sat.Pos(sel), sat.Pos(a), sat.Neg(v))
+		// Redundant but propagation-strengthening: both data equal.
+		s.AddClause(sat.Pos(a), sat.Pos(b), sat.Neg(v))
+		s.AddClause(sat.Neg(a), sat.Neg(b), sat.Pos(v))
+	default:
+		return fmt.Errorf("equiv: cannot encode gate %d of kind %s", id, g.Kind)
+	}
+	return nil
 }
 
 // ROMSpec describes a ROM macro for encoding: its pin nets and the loaded

@@ -2,7 +2,9 @@ package equiv
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bespoke/internal/cut"
@@ -256,5 +258,210 @@ func TestMiterCatchesWrongConstant(t *testing.T) {
 	}
 	if res.Counterexample == nil {
 		t.Fatal("no counterexample for inequivalence")
+	}
+}
+
+// cutChain returns chainNetlist's correct cut: q stitched to 1, nq to 0.
+func cutChain(n *netlist.Netlist, q, nq netlist.GateID) *netlist.Netlist {
+	bespoke := n.Clone()
+	bespoke.Gates[q] = netlist.Gate{Kind: netlist.Const1, In: [3]netlist.GateID{netlist.None, netlist.None, netlist.None}}
+	bespoke.Gates[nq] = netlist.Gate{Kind: netlist.Const0, In: [3]netlist.GateID{netlist.None, netlist.None, netlist.None}}
+	return bespoke
+}
+
+// TestMiterAssumedClaims: AssumedClaims counts the hypothesis claims
+// without a formal proof — every claim when no report is passed, else
+// those the report classified Assumed.
+func TestMiterAssumedClaims(t *testing.T) {
+	n, q, nq, _ := chainNetlist()
+	claims := []cut.Claim{{Gate: q, Val: logic.One}, {Gate: nq, Val: logic.Zero}}
+	report := func(vs ...Verdict) *Report {
+		r := &Report{}
+		for i, v := range vs {
+			r.Results = append(r.Results, ClaimResult{Claim: claims[i], Verdict: v})
+		}
+		return r
+	}
+	cases := []struct {
+		name string
+		rep  *Report
+		want int
+	}{
+		{"nil report", nil, 2},
+		{"all proved", report(ProvedStructural, ProvedSAT), 0},
+		{"one assumed", report(ProvedStructural, Assumed), 1},
+		{"all assumed", report(Assumed, Assumed), 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := ProveMiter(context.Background(), &Env{N: n, Claims: claims}, cutChain(n, q, nq), tc.rep, Options{})
+			if err != nil {
+				t.Fatalf("ProveMiter: %v", err)
+			}
+			if !res.Equivalent {
+				t.Fatalf("correct cut reported inequivalent at %q", res.Mismatch)
+			}
+			if res.AssumedClaims != tc.want {
+				t.Fatalf("AssumedClaims = %d, want %d", res.AssumedClaims, tc.want)
+			}
+		})
+	}
+}
+
+// TestMiterRejectsShapeMismatch: a bespoke netlist whose gate or port
+// table does not line up with the base, or a report over a different
+// claim set, is an error, not a panic or a verdict.
+func TestMiterRejectsShapeMismatch(t *testing.T) {
+	n, q, nq, _ := chainNetlist()
+	claims := []cut.Claim{{Gate: q, Val: logic.One}, {Gate: nq, Val: logic.Zero}}
+	cases := []struct {
+		name  string
+		edit  func(b *netlist.Netlist)
+		rep   *Report
+		wantS string
+	}{
+		{"fewer outputs", func(b *netlist.Netlist) { b.Outputs = nil }, nil, "outputs"},
+		{"extra output", func(b *netlist.Netlist) { b.MarkOutput("x", q) }, nil, "outputs"},
+		{"fewer gates", func(b *netlist.Netlist) { b.Gates = b.Gates[:len(b.Gates)-1] }, nil, "gates"},
+		{"short report", func(*netlist.Netlist) {}, &Report{Results: make([]ClaimResult, 1)}, "report"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bespoke := cutChain(n, q, nq)
+			tc.edit(bespoke)
+			res, err := ProveMiter(context.Background(), &Env{N: n, Claims: claims}, bespoke, tc.rep, Options{})
+			if err == nil {
+				t.Fatalf("want an error, got %+v", res)
+			}
+			if !strings.Contains(err.Error(), tc.wantS) {
+				t.Fatalf("error %q does not mention %s", err, tc.wantS)
+			}
+		})
+	}
+}
+
+// arrayMultiplier builds an n x n ripple-carry array multiplier over
+// inputs a (gates 0..n-1) and b (gates n..2n-1) with outputs p0..p(2n-1).
+// With swap it multiplies b by a instead: the same gate count and IDs,
+// but most gates compute a different partial sum than their twin, and
+// the outputs agree only by commutativity — a miter that needs search.
+func arrayMultiplier(n int, swap bool) *netlist.Netlist {
+	nl := netlist.New()
+	gate := func(k netlist.Kind, a, b netlist.GateID) netlist.GateID {
+		return nl.Add(netlist.Gate{Kind: k, In: [3]netlist.GateID{a, b, netlist.None}})
+	}
+	x, y := make([]netlist.GateID, n), make([]netlist.GateID, n)
+	for i := range x {
+		x[i] = nl.Add(netlist.Gate{Kind: netlist.Input})
+	}
+	for i := range y {
+		y[i] = nl.Add(netlist.Gate{Kind: netlist.Input})
+	}
+	if swap {
+		x, y = y, x
+	}
+	var acc, out []netlist.GateID
+	for j := 0; j < n; j++ {
+		acc = append(acc, gate(netlist.And, x[0], y[j]))
+	}
+	for i := 1; i < n; i++ {
+		out = append(out, acc[0])
+		next := make([]netlist.GateID, 0, n+1)
+		carry := netlist.None
+		for j := 0; j < n; j++ {
+			pp := gate(netlist.And, x[i], y[j])
+			switch {
+			case j+1 == len(acc) && carry == netlist.None:
+				next = append(next, pp)
+			case j+1 == len(acc):
+				next = append(next, gate(netlist.Xor, pp, carry))
+				carry = gate(netlist.And, pp, carry)
+			case carry == netlist.None:
+				next = append(next, gate(netlist.Xor, pp, acc[j+1]))
+				carry = gate(netlist.And, pp, acc[j+1])
+			default:
+				t := gate(netlist.Xor, pp, acc[j+1])
+				next = append(next, gate(netlist.Xor, t, carry))
+				carry = gate(netlist.Or, gate(netlist.And, pp, acc[j+1]), gate(netlist.And, t, carry))
+			}
+		}
+		acc = append(next, carry)
+	}
+	for k, o := range append(out, acc...) {
+		nl.MarkOutput(fmt.Sprintf("p%d", k), o)
+	}
+	return nl
+}
+
+// addNeedle appends to an arrayMultiplier netlist a detector for
+// (a, b) == (ca, cb) XORed into product bit k. With rewire the port p<k>
+// reads the XOR, so the design differs from the product on that single
+// input pair only; without, the detector dangles and the gate count
+// still matches.
+func addNeedle(nl *netlist.Netlist, n, k int, ca, cb uint, rewire bool) {
+	det := netlist.None
+	for i := 0; i < 2*n; i++ {
+		want := (ca|cb<<uint(n))>>uint(i)&1 == 1
+		l := netlist.GateID(i)
+		if !want {
+			l = nl.Add(netlist.Gate{Kind: netlist.Not, In: [3]netlist.GateID{l, netlist.None, netlist.None}})
+		}
+		if det != netlist.None {
+			l = nl.Add(netlist.Gate{Kind: netlist.And, In: [3]netlist.GateID{det, l, netlist.None}})
+		}
+		det = l
+	}
+	x := nl.Add(netlist.Gate{Kind: netlist.Xor, In: [3]netlist.GateID{nl.Outputs[k].Gate, det, netlist.None}})
+	if rewire {
+		nl.Outputs[k].Gate = x
+	}
+}
+
+// TestMiterHardObligations: obligations the per-query conflict budget
+// cannot settle go to the final unlimited solve. A 5x5 multiplier against
+// its commuted twin is equivalent only by commutativity, which takes the
+// solver thousands of conflicts; with a needle on one input pair, the
+// budgeted check of p5 gives up and the final solve must find the pair.
+// Both miters must agree.
+func TestMiterHardObligations(t *testing.T) {
+	const n = 5
+	needle := func(swap bool) *netlist.Netlist {
+		nl := arrayMultiplier(n, swap)
+		addNeedle(nl, n, 5, 21, 13, swap)
+		return nl
+	}
+	cases := []struct {
+		name          string
+		base, bespoke *netlist.Netlist
+		equivalent    bool
+		mismatch      string
+	}{
+		{"commuted", arrayMultiplier(n, false), arrayMultiplier(n, true), true, ""},
+		{"commuted with needle", needle(false), needle(true), false, "output p5"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := &Env{N: tc.base}
+			got, err := ProveMiter(context.Background(), env, tc.bespoke, nil, Options{})
+			if err != nil {
+				t.Fatalf("ProveMiter: %v", err)
+			}
+			want, err := referenceMiter(context.Background(), env, tc.bespoke, nil, Options{})
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			if got.Equivalent != tc.equivalent || want.Equivalent != tc.equivalent {
+				t.Fatalf("equivalent: swept %t, reference %t, want %t", got.Equivalent, want.Equivalent, tc.equivalent)
+			}
+			if got.Mismatch != tc.mismatch {
+				t.Fatalf("mismatch %q, want %q", got.Mismatch, tc.mismatch)
+			}
+			if !tc.equivalent && got.Counterexample == nil {
+				t.Fatal("inequivalence carries no counterexample")
+			}
+			if got.Conflicts <= sweepBudget {
+				t.Fatalf("%d conflicts: no obligation outgrew the %d-conflict budget, so the final solve went untested", got.Conflicts, sweepBudget)
+			}
+		})
 	}
 }

@@ -10,6 +10,13 @@ import (
 	"bespoke/internal/sat"
 )
 
+// sweepBudget caps the conflicts of each budgeted miter query: the
+// sweep's twin comparisons and the per-obligation checks. Twins that are
+// equal almost always close within a handful of conflicts; an obligation
+// the budget leaves open goes to the final unlimited solve, and a gate it
+// leaves open just keeps its own variable.
+const sweepBudget = 100
+
 // MiterResult is the outcome of a base-vs-bespoke equivalence check.
 type MiterResult struct {
 	// Equivalent reports that no reachable frame can distinguish the
@@ -17,9 +24,9 @@ type MiterResult struct {
 	Equivalent bool
 	// Obligations is the number of compared net pairs.
 	Obligations int
-	// AssumedClaims counts hypothesis claims that ProveClaims could not
-	// formally discharge (verdict Assumed): the equivalence is
-	// conditional on them and they rest on the dynamic analysis.
+	// AssumedClaims counts the hypothesis claims the equivalence rests
+	// on without a formal proof: those ProveClaims classified Assumed, or
+	// every claim when no report was passed.
 	AssumedClaims int
 	// Invariants counts the proved reachable-state invariants encoded in
 	// place of the recorded dynamic bus domains. When non-zero, the
@@ -31,6 +38,17 @@ type MiterResult struct {
 	Mismatch string
 	// Counterexample is the distinguishing frame when inequivalent.
 	Counterexample *Counterexample
+	// SATQueries counts the Solve calls the check made: the consistency
+	// guard, the sweep's twin comparisons, the obligation checks and the
+	// final solve over the obligations the budget left open.
+	SATQueries int64
+	// Conflicts aggregates the solver conflicts behind those calls.
+	Conflicts int64
+	// Merged counts bespoke gates that share their base twin's CNF
+	// variable: inputs, kept flip-flops, gates structurally identical
+	// to their twin, constants the claims fix, and gates the sweep
+	// proved equal to their twin.
+	Merged int
 }
 
 // obligation is one net pair the miter must prove equal.
@@ -54,7 +72,15 @@ type obligation struct {
 // the claims ProveClaims classified Assumed; MiterResult.AssumedClaims
 // counts them.
 //
-// The context bounds the solve; cancellation aborts with a *LimitError.
+// The check is a SAT sweep on one incremental solver. Cutting keeps gate
+// IDs, so every bespoke gate has a base twin; walking the bespoke netlist
+// in topological order, each gate reuses its twin's variable when the
+// two are structurally identical or a budgeted query proves them equal,
+// so every obligation over untouched or provably unchanged logic closes
+// without search. The obligations are then discharged one by one, and
+// only those the budget leaves open enter a final unlimited solve.
+//
+// The context bounds every solve; cancellation aborts with a *LimitError.
 func ProveMiter(ctx context.Context, env *Env, bespoke *netlist.Netlist, rep *Report, opts Options) (*MiterResult, error) {
 	if err := checkEnv(env); err != nil {
 		return nil, err
@@ -62,6 +88,10 @@ func ProveMiter(ctx context.Context, env *Env, bespoke *netlist.Netlist, rep *Re
 	if len(bespoke.Gates) != len(env.N.Gates) {
 		return nil, fmt.Errorf("equiv: bespoke netlist has %d gates, base %d (cutting must preserve IDs)",
 			len(bespoke.Gates), len(env.N.Gates))
+	}
+	if len(bespoke.Outputs) != len(env.N.Outputs) {
+		return nil, fmt.Errorf("equiv: bespoke netlist has %d outputs, base %d (cutting must preserve ports)",
+			len(bespoke.Outputs), len(env.N.Outputs))
 	}
 	if rep != nil && len(rep.Results) != len(env.Claims) {
 		return nil, fmt.Errorf("equiv: report covers %d claims, environment has %d", len(rep.Results), len(env.Claims))
@@ -72,85 +102,209 @@ func ProveMiter(ctx context.Context, env *Env, bespoke *netlist.Netlist, rep *Re
 		return nil, err
 	}
 	encodeEnv(fb, env)
+	res := &MiterResult{Invariants: len(env.Invariants)}
+	defer func() {
+		st := s.Stats()
+		res.SATQueries, res.Conflicts = st.Solves, st.Conflicts
+	}()
+	limit := func(err error) error { return &LimitError{Reason: ctxReason(ctx), Err: err} }
 
 	// Induction hypothesis: every claim that ProveClaims did not refute
 	// holds on the base side (on the bespoke side the cut gates are Const
-	// cells). Kept flip-flop and input nets are shared outright.
-	assumed := 0
+	// cells).
 	for i, c := range env.Claims {
-		if rep != nil {
+		if rep == nil {
+			res.AssumedClaims++
+		} else {
 			switch rep.Results[i].Verdict {
 			case Refuted, Unproved:
 				continue
 			case Assumed:
-				assumed++
+				res.AssumedClaims++
 			}
 		}
 		s.AddClause(fb.Lit(c.Gate, c.Val))
 	}
-	shared := map[netlist.GateID]sat.Var{}
+
+	// Consistency guard: the environment plus hypothesis must be
+	// satisfiable, otherwise "equivalent" would be vacuous.
+	st, err := s.Solve(ctx)
+	if err != nil {
+		return nil, limit(err)
+	}
+	if st == sat.Unsat {
+		return nil, fmt.Errorf("equiv: miter hypothesis is unsatisfiable (a claim contradicts the environment); run ProveClaims first")
+	}
+
+	s.SetBudget(sweepBudget)
+	vars, err := sweep(ctx, s, fb, env.N, bespoke)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, limit(err)
+		}
+		return nil, err
+	}
+	for i, v := range vars {
+		if v == fb.vars[i] {
+			res.Merged++
+		}
+	}
+
+	obs := obligations(env, bespoke)
+	res.Obligations = len(obs)
+	mismatch := func(o obligation) (*MiterResult, error) {
+		// Project the model onto the base frame state; the claim slot
+		// records the differing net.
+		res.Mismatch = o.name
+		res.Counterexample = captureModel(s, fb, env, cut.Claim{Gate: o.base, Val: logic.X})
+		return res, nil
+	}
+	var open []obligation
+	for _, o := range obs {
+		a, b := fb.vars[o.base], vars[o.besp]
+		if a == b {
+			continue
+		}
+		st, err := differ(ctx, s, a, b)
+		if err != nil {
+			return nil, limit(err)
+		}
+		switch st {
+		case sat.Sat:
+			return mismatch(o)
+		case sat.Unknown:
+			open = append(open, o)
+		}
+	}
+	if len(open) == 0 {
+		res.Equivalent = true
+		return res, nil
+	}
+
+	// Assert that some open obligation differs.
+	diffs := make([]sat.Lit, len(open))
+	for i, o := range open {
+		diffs[i] = sat.Pos(xorVar(s, fb.vars[o.base], vars[o.besp]))
+	}
+	s.AddClause(diffs...)
+	s.SetBudget(0)
+	st, err = s.Solve(ctx)
+	if err != nil {
+		return nil, limit(err)
+	}
+	switch st {
+	case sat.Unsat:
+		res.Equivalent = true
+		return res, nil
+	case sat.Sat:
+		for i, o := range open {
+			if s.Value(diffs[i].Var()) {
+				return mismatch(o)
+			}
+		}
+		return mismatch(open[0])
+	}
+	return nil, fmt.Errorf("equiv: miter solve exhausted its budget")
+}
+
+// sweep gives every bespoke gate a CNF variable on s and returns them,
+// indexed by GateID. A gate
+// takes its base twin's variable (same ID in fb) when the two provably
+// agree under the clauses on s: inputs and kept flip-flops always, a
+// constant when the hypothesis fixes its twin to the same value, a gate
+// of the twin's kind whose pins map to the twin's pin variables, and any
+// other gate whose budgeted difference queries are both UNSAT. Every
+// other gate keeps its own Tseitin-encoded variable. Gates are visited in
+// topological order, so each merge lets downstream gates match
+// structurally.
+func sweep(ctx context.Context, s *sat.Solver, fb *Frame, base, bespoke *netlist.Netlist) ([]sat.Var, error) {
+	vars := make([]sat.Var, len(bespoke.Gates))
 	for i := range bespoke.Gates {
-		switch bespoke.Gates[i].Kind {
-		case netlist.Input:
-			shared[netlist.GateID(i)] = fb.vars[i]
-		case netlist.Dff:
-			// A kept flip-flop: same current value both sides.
-			shared[netlist.GateID(i)] = fb.vars[i]
-		}
-	}
-	// Structural sharing: a bespoke gate with the same kind and pins as
-	// its base twin, whose connected inputs are all themselves shared,
-	// computes the identical function of the shared leaves, so both sides
-	// use one CNF variable. Without this the solver has to re-derive the
-	// equality of every untouched cone pair by search, which is
-	// intractable exactly where it matters least (a surviving multiplier
-	// is the classic exponential case for CNF equivalence). Gates the cut
-	// rewrote (kind or pins differ) keep distinct variables, so every
-	// real proof obligation is untouched. Gate IDs grow roughly
-	// topologically, so the fixpoint converges in a few sweeps.
-	for {
-		grew := false
-		for i := range bespoke.Gates {
-			id := netlist.GateID(i)
-			if _, ok := shared[id]; ok {
+		twin := fb.vars[i]
+		switch k := bespoke.Gates[i].Kind; k {
+		case netlist.Input, netlist.Dff:
+			vars[i] = twin
+		case netlist.Const0, netlist.Const1:
+			if val, ok := s.Fixed(twin); ok && val == (k == netlist.Const1) {
+				vars[i] = twin
 				continue
 			}
-			gb, ga := &bespoke.Gates[i], &env.N.Gates[i]
-			if gb.Kind != ga.Kind || gb.In != ga.In {
-				continue
+			vars[i] = s.NewVar()
+			if err := encodeGate(s, bespoke, netlist.GateID(i), vars); err != nil {
+				return nil, err
 			}
-			identical := true
-			for p := 0; p < gb.Kind.NumInputs(); p++ {
-				in := gb.In[p]
-				if in == netlist.None {
-					identical = false
-					break
-				}
-				if _, ok := shared[in]; !ok {
-					identical = false
-					break
-				}
-			}
-			if identical {
-				shared[id] = fb.vars[i]
-				grew = true
-			}
-		}
-		if !grew {
-			break
 		}
 	}
-	fs, err := NewFrame(s, bespoke, shared)
+	order, err := bespoke.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
+	for _, id := range order {
+		twin := fb.vars[id]
+		if sameFunction(&bespoke.Gates[id], &base.Gates[id], vars, fb.vars) {
+			vars[id] = twin
+			continue
+		}
+		v := s.NewVar()
+		vars[id] = v
+		if err := encodeGate(s, bespoke, id, vars); err != nil {
+			return nil, err
+		}
+		st, err := differ(ctx, s, v, twin)
+		if err != nil {
+			return nil, err
+		}
+		if st == sat.Unsat {
+			s.AddClause(sat.Neg(v), sat.Pos(twin))
+			s.AddClause(sat.Pos(v), sat.Neg(twin))
+			vars[id] = twin
+		}
+	}
+	return vars, nil
+}
 
-	// Obligations.
+// sameFunction reports whether bespoke gate gb and base gate ga have the
+// same kind and read the same variables on every pin, so they compute the
+// identical function and can share one variable.
+func sameFunction(gb, ga *netlist.Gate, bvars, avars []sat.Var) bool {
+	if gb.Kind != ga.Kind {
+		return false
+	}
+	for p := 0; p < gb.Kind.NumInputs(); p++ {
+		if gb.In[p] == netlist.None || ga.In[p] == netlist.None || bvars[gb.In[p]] != avars[ga.In[p]] {
+			return false
+		}
+	}
+	return true
+}
+
+// differ asks whether a and b can differ under the clauses on s, one
+// direction at a time under the solver's budget: Sat (model available)
+// when some direction is satisfiable, Unsat when both are refuted, and
+// Unknown when the budget ran out without a model.
+func differ(ctx context.Context, s *sat.Solver, a, b sat.Var) (sat.Status, error) {
+	verdict := sat.Unsat
+	for _, neg := range [2]bool{false, true} {
+		st, err := s.Solve(ctx, sat.MkLit(a, neg), sat.MkLit(b, !neg))
+		if err != nil {
+			return sat.Unknown, err
+		}
+		if st == sat.Sat {
+			return sat.Sat, nil
+		}
+		if st == sat.Unknown {
+			verdict = sat.Unknown
+		}
+	}
+	return verdict, nil
+}
+
+// obligations lists the net pairs the miter must prove equal: primary
+// outputs, kept flip-flops' D inputs, and memory-macro input pins.
+func obligations(env *Env, bespoke *netlist.Netlist) []obligation {
 	var obs []obligation
 	for i, o := range env.N.Outputs {
-		bo := o.Gate
-		so := bespoke.Outputs[i].Gate
-		obs = append(obs, obligation{name: "output " + o.Name, base: bo, besp: so})
+		obs = append(obs, obligation{name: "output " + o.Name, base: o.Gate, besp: bespoke.Outputs[i].Gate})
 	}
 	for i := range bespoke.Gates {
 		if bespoke.Gates[i].Kind == netlist.Dff {
@@ -174,46 +328,5 @@ func ProveMiter(ctx context.Context, env *Env, bespoke *netlist.Netlist, rep *Re
 		addPins("ram.wdata", env.RAM.WData)
 		addPins("ram.ctl", []netlist.GateID{env.RAM.En, env.RAM.WEnLo, env.RAM.WEnHi})
 	}
-
-	// Consistency guard: the environment plus hypothesis must be
-	// satisfiable, otherwise "equivalent" would be vacuous.
-	st, err := s.Solve(ctx)
-	if err != nil {
-		return nil, &LimitError{Reason: ctxReason(ctx), Err: err}
-	}
-	if st == sat.Unsat {
-		return nil, fmt.Errorf("equiv: miter hypothesis is unsatisfiable (a claim contradicts the environment); run ProveClaims first")
-	}
-
-	// Assert that some obligation differs.
-	diffs := make([]sat.Lit, len(obs))
-	for i, o := range obs {
-		diffs[i] = sat.Pos(xorVar(s, fb.vars[o.base], fs.vars[o.besp]))
-	}
-	s.AddClause(diffs...)
-	s.SetBudget(0)
-	st, err = s.Solve(ctx)
-	if err != nil {
-		return nil, &LimitError{Reason: ctxReason(ctx), Err: err}
-	}
-	res := &MiterResult{Obligations: len(obs), AssumedClaims: assumed, Invariants: len(env.Invariants)}
-	switch st {
-	case sat.Unsat:
-		res.Equivalent = true
-		return res, nil
-	case sat.Sat:
-		mis := obs[0].base
-		for i, o := range obs {
-			if s.Value(diffs[i].Var()) {
-				res.Mismatch = o.name
-				mis = o.base
-				break
-			}
-		}
-		// Project the model onto the base frame state; the claim slot
-		// records the first differing net.
-		res.Counterexample = captureModel(s, fb, env, cut.Claim{Gate: mis, Val: logic.X})
-		return res, nil
-	}
-	return nil, fmt.Errorf("equiv: miter solve exhausted its budget")
+	return obs
 }

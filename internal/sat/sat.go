@@ -579,12 +579,17 @@ const ctxCheckMask = 255
 // assumption literals. It returns Sat (model available via Value/Model),
 // Unsat (failed assumption subset via FailedAssumptions), or Unknown when
 // the conflict budget set by SetBudget ran out. Cancellation or deadline
-// expiry of ctx aborts the search with Unknown and the context error. The
-// solver remains usable for further Solve and AddClause calls afterwards.
+// expiry of ctx aborts the search with Unknown and the context error; a
+// context that is already done aborts before any search, so callers that
+// fire many small budgeted queries honour it on every call. The solver
+// remains usable for further Solve and AddClause calls afterwards.
 func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) {
 	if s.unsatP {
 		s.conflict = s.conflict[:0]
 		return Unsat, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return Unknown, err
 	}
 	s.stats.Solves++
 	s.model = nil
@@ -738,6 +743,17 @@ func (s *Solver) Value(v Var) bool {
 		panic("sat: Value called without a model") // panic-ok: Value without a model is API misuse, documented on the method
 	}
 	return s.model[v] == lTrue
+}
+
+// Fixed reports the value of v when the clause database alone forces it:
+// v is assigned at decision level 0 by a unit clause or its propagation.
+// ok is false for variables search still decides. Call it between Solve
+// calls.
+func (s *Solver) Fixed(v Var) (val, ok bool) {
+	if s.assign[v] == lUndef || s.level[v] != 0 {
+		return false, false
+	}
+	return s.assign[v] == lTrue, true
 }
 
 // FailedAssumptions returns the subset of the last Solve's assumptions

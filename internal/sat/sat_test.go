@@ -2,6 +2,7 @@ package sat
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -314,5 +315,50 @@ func TestTautologyAndDuplicates(t *testing.T) {
 	}
 	if !s.Value(b) {
 		t.Fatal("b must be true")
+	}
+}
+
+// TestFixed: Fixed reports exactly the level-0 consequences of the
+// clause database — units and what they propagate — and never a value a
+// Solve call merely decided or assumed.
+func TestFixed(t *testing.T) {
+	s := New()
+	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
+	s.AddClause(Neg(a), Pos(b)) // a -> b
+	if _, ok := s.Fixed(b); ok {
+		t.Fatal("b fixed before any unit")
+	}
+	s.AddClause(Pos(a))
+	for _, v := range []Var{a, b} {
+		if val, ok := s.Fixed(v); !ok || !val {
+			t.Fatalf("v%d: Fixed = %t, %t; want true, true", v, val, ok)
+		}
+	}
+	if st, err := s.Solve(context.Background(), Neg(c)); err != nil || st != Sat {
+		t.Fatalf("Solve = %v, %v", st, err)
+	}
+	if _, ok := s.Fixed(c); ok {
+		t.Fatal("assumed variable reported fixed after Solve")
+	}
+	s.AddClause(Neg(c))
+	if val, ok := s.Fixed(c); !ok || val {
+		t.Fatalf("c: Fixed = %t, %t; want false, true", val, ok)
+	}
+}
+
+// TestSolveHonoursDoneContext: a context that is already done aborts
+// Solve before any search, even on an instance propagation alone
+// would settle.
+func TestSolveHonoursDoneContext(t *testing.T) {
+	s := New()
+	a := s.NewVar()
+	s.AddClause(Pos(a))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if st, err := s.Solve(ctx, Pos(a)); st != Unknown || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Solve under a cancelled context = %v, %v; want unknown, context.Canceled", st, err)
+	}
+	if st, err := s.Solve(context.Background(), Pos(a)); st != Sat || err != nil {
+		t.Fatalf("Solve after the aborted call = %v, %v; want sat", st, err)
 	}
 }
