@@ -236,6 +236,29 @@ func BenchmarkBitParallelCampaign(b *testing.B) {
 	b.ReportMetric(rate, "inj/s")
 }
 
+// BenchmarkBitParallelSETCampaign measures the fault-campaign path
+// through lane-aware RAM writes: tea8 stores to RAM, and a struck lane
+// that loses its address writes through an X address, which the RAM
+// commits into every word it could reach. One pass settles 63 SETs plus
+// the golden guard lane, with Workers pinned to 1.
+func BenchmarkBitParallelSETCampaign(b *testing.B) {
+	bm := bench.ByName("tea8")
+	p := bm.MustProg()
+	c := cpu.Build()
+	w := bm.Workload(1)
+	var rate float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := faultinject.SETCampaign(context.Background(), c, p, w, 63,
+			faultinject.Options{Workers: 1, Seed: 9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rate = float64(rep.Injected) / rep.Elapsed.Seconds()
+	}
+	b.ReportMetric(rate, "inj/s")
+}
+
 // BenchmarkISASimulation measures golden-model speed for comparison.
 func BenchmarkISASimulation(b *testing.B) {
 	bm := bench.ByName("tea8")

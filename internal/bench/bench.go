@@ -165,7 +165,9 @@ func RunGate(b *Benchmark, seed uint64) (*core.RunTrace, error) { return b.RunGa
 // halt convention.
 func RunISAWorkload(m *isasim.Machine, w *core.Workload) error {
 	stim := core.NewStimulus(w)
-	stim.PreloadRAM(func(a, v uint16) { m.LoadRAMWords(a, []uint16{v}) })
+	if err := stim.PreloadRAM(func(a, v uint16) { m.LoadRAMWords(a, []uint16{v}) }); err != nil {
+		return err
+	}
 	max := stim.Budget()
 	setP1 := func(v uint16) { m.P1In = v }
 	for !m.Halted {

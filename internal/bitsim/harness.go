@@ -218,8 +218,9 @@ func (h *Harness) checkHalt() {
 // hook precedes the halt check, and the output port is sampled before
 // every clock edge. The hook (may be nil) is invoked once per cycle
 // with the harness, like the scalar run hook; fault drivers use it to
-// strike lanes mid-run. Only a cancelled context aborts the whole
-// batch; per-lane failures retire the lane.
+// strike lanes mid-run. Only a cancelled context or a workload that
+// fails core.Workload.Validate aborts the whole batch; per-lane
+// failures retire the lane.
 func (h *Harness) Run(ctx context.Context, ws []*core.Workload, hook func(*Harness)) error {
 	s := h.S
 	s.Reset()
@@ -257,9 +258,12 @@ func (h *Harness) Run(ctx context.Context, ws []*core.Workload, hook func(*Harne
 		if l < len(ws) {
 			stim[l] = core.NewStimulus(ws[l])
 		}
-		stim[l].PreloadRAM(func(addr, v uint16) {
+		err := stim[l].PreloadRAM(func(addr, v uint16) {
 			h.RAM.SetLaneWord(l, (addr-msp430.RAMStart)/2, logic.KnownWord(v))
 		})
+		if err != nil {
+			return fmt.Errorf("bitsim: lane %d: %w", l, err)
+		}
 	}
 
 	for h.live != 0 {

@@ -2,6 +2,7 @@ package bitsim_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -173,5 +174,25 @@ func TestHarnessCancellation(t *testing.T) {
 		if h.Lane[l].Status == bitsim.LaneHalted {
 			t.Fatalf("lane %d reported halted after aborted run", l)
 		}
+	}
+}
+
+// TestHarnessRejectsBadPreload checks that a lane whose workload preloads
+// outside data RAM aborts the batch with the workload's *PreloadError
+// instead of an index panic in the lane-aware RAM.
+func TestHarnessRejectsBadPreload(t *testing.T) {
+	b := bench.ByName("mult")
+	prog, err := b.Prog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := bitsim.NewHarness(cpu.Build(), prog, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := []*core.Workload{b.Workload(1), {RAM: map[uint16]uint16{0x0010: 1}}}
+	var pe *core.PreloadError
+	if err := h.Run(context.Background(), ws, nil); !errors.As(err, &pe) || pe.Addr != 0x0010 {
+		t.Fatalf("Run error %v, want a *core.PreloadError at 0x0010", err)
 	}
 }

@@ -1,46 +1,23 @@
 // Lane-aware memory macros. The RAM stores its contents in plane form —
-// words[i][b] is bit b of word i across all 64 lanes — so the common
-// lockstep case (all lanes reading/writing the same known address)
-// costs one plane copy per bit, and diverged lanes fall back to a
-// per-lane path that reproduces the scalar RAM's conservative X
-// semantics exactly: an X address reads all-X, a possible write (X
-// write-enable) merges, a write to an unknown address merges into every
-// reachable word. The ROM keeps one concrete image per lane, aliasing a
-// shared base image until a lane is given its own program (mutant
-// packing), so the uniform case stays a single-word broadcast.
+// words[i][b] is bit b of word i across all 64 lanes — and reads and
+// commits writes plane-wise for every lane at once: one walk down the
+// address bits visits each word some lane can reach, skipping subtrees
+// no lane reaches, so lockstep lanes cost one path and diverged lanes
+// one path each. The semantics are the scalar RAM's conservative X
+// semantics lane for lane: an X address reads all-X, a possible write
+// (X select or write enable) merges, and a write to an unknown address
+// merges into every reachable word. The ROM keeps one concrete image
+// per lane, aliasing a shared base image until a lane is given its own
+// program (mutant packing), so the uniform case stays a single-word
+// broadcast.
 package bitsim
 
 import (
+	"math/bits"
+
 	"bespoke/internal/logic"
 	"bespoke/internal/netlist"
 )
-
-// uniformKnown reports whether every lane of w holds the same known
-// value, and that value.
-func uniformKnown(w W) (logic.V, bool) {
-	if w.D != ^uint64(0) {
-		return logic.X, false
-	}
-	switch w.V {
-	case 0:
-		return logic.Zero, true
-	case ^uint64(0):
-		return logic.One, true
-	}
-	return logic.X, false
-}
-
-// allX reports whether every lane of w is undefined.
-func allX(w W) bool { return w.D == 0 }
-
-// laneWord extracts lane l of a 16-bit bus whose planes are in p.
-func laneWord(p []W, l int) logic.Word {
-	var w logic.Word
-	for i := range p {
-		w = w.SetBit(uint(i), p[i].Lane(l))
-	}
-	return w
-}
 
 // ROM is the lane-aware asynchronous-read program memory: concrete
 // contents per lane, aliased to a shared base image until a lane is
@@ -115,78 +92,48 @@ func (r *ROM) Inputs() []netlist.GateID {
 // Outputs implements Block.
 func (r *ROM) Outputs() []netlist.GateID { return r.rdata }
 
-// Eval implements Block: combinational read across all lanes.
+// Eval implements Block: combinational read across all lanes. A lane
+// with a known-zero select reads 0, one with an X select or an address
+// with an X bit reads X, and every other lane reads its own image; when
+// all lanes share the base image and one known address, that word is
+// broadcast.
 func (r *ROM) Eval(s *Sim) {
 	en := s.Val[r.en]
+	rd := en.V // lanes that read a word: select known 1, address known
+	uni := r.uniform
+	var a uint16
 	for i, id := range r.addr {
-		r.in[i] = s.Val[id]
-	}
-	if ev, ok := uniformKnown(en); ok {
-		if ev == logic.Zero {
-			r.driveOut(s, func(int) logic.Word { return logic.KnownWord(0) }, true)
-			return
-		}
-		if r.uniform {
-			uni := true
-			var a uint16
-			for i := range r.in {
-				bv, bok := uniformKnown(r.in[i])
-				if !bok {
-					uni = false
-					break
-				}
-				if bv == logic.One {
-					a |= 1 << uint(i)
-				}
-			}
-			if uni {
-				r.driveOut(s, func(int) logic.Word { return logic.KnownWord(r.base[a]) }, true)
-				return
-			}
+		p := s.Val[id]
+		r.in[i] = p
+		rd &= p.D
+		if p.V == ^uint64(0) {
+			a |= 1 << uint(i)
+		} else if p.V != 0 {
+			uni = false
 		}
 	}
-	r.driveOut(s, func(l int) logic.Word {
-		switch s.Val[r.en].Lane(l) {
-		case logic.Zero:
-			return logic.KnownWord(0)
-		case logic.X:
-			return logic.XWord
-		}
-		a := laneWord(r.in, l)
-		if !a.Known() {
-			return logic.XWord
-		}
-		return logic.KnownWord(r.lanes[l][a.Val])
-	}, false)
-}
-
-// driveOut assembles per-lane words into output planes and drives them.
-// When broadcast is set, word(0) applies to every lane.
-func (r *ROM) driveOut(s *Sim, word func(l int) logic.Word, broadcast bool) {
-	var outV, outD [16]uint64
-	if broadcast {
-		w := word(0)
+	var outV [16]uint64
+	if uni && rd == ^uint64(0) {
+		w := uint64(r.base[a])
 		for b := range r.rdata {
-			outV[b] = Splat(w.Bit(uint(b))).V
-			outD[b] = Splat(w.Bit(uint(b))).D
+			outV[b] = -(w >> uint(b) & 1)
 		}
 	} else {
-		for l := 0; l < Lanes; l++ {
-			w := word(l)
-			bit := uint64(1) << uint(l)
+		for m := rd; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			a = 0
+			for i := range r.in {
+				a |= uint16(r.in[i].V>>uint(l)&1) << uint(i)
+			}
+			w := uint64(r.lanes[l][a])
 			for b := range r.rdata {
-				switch w.Bit(uint(b)) {
-				case logic.One:
-					outV[b] |= bit
-					outD[b] |= bit
-				case logic.Zero:
-					outD[b] |= bit
-				}
+				outV[b] |= (w >> uint(b) & 1) << uint(l)
 			}
 		}
 	}
+	d := rd | en.D&^en.V
 	for b, id := range r.rdata {
-		s.BlockDrive(id, W{outV[b], outD[b]})
+		s.BlockDrive(id, W{outV[b], d})
 	}
 }
 
@@ -208,7 +155,9 @@ type RAM struct {
 
 	words [][16]W
 
-	ain, din []W // scratch: addr and wdata planes
+	ain         []W       // scratch: addr planes
+	din, out    [16]W     // scratch: wdata planes and read result
+	over, merge [2]uint64 // scratch: per-byte overwrite and merge lanes
 }
 
 // NewRAM builds a lane-aware RAM bound to the same pins as the scalar
@@ -223,7 +172,6 @@ func NewRAM(scalar interface {
 		en: en, wenLo: wenLo, wenHi: wenHi,
 		words: make([][16]W, scalar.Size()),
 		ain:   make([]W, len(addr)),
-		din:   make([]W, len(wdata)),
 	}
 }
 
@@ -233,15 +181,6 @@ func (r *RAM) SetLaneWord(l int, i uint16, w logic.Word) {
 	for b := 0; b < 16; b++ {
 		r.words[i][b] = r.words[i][b].SetLane(l, w.Bit(uint(b)))
 	}
-}
-
-// LaneWord reads word index i of lane l.
-func (r *RAM) LaneWord(l int, i uint16) logic.Word {
-	var w logic.Word
-	for b := 0; b < 16; b++ {
-		w = w.SetBit(uint(b), r.words[i][b].Lane(l))
-	}
-	return w
 }
 
 // Inputs implements Block.
@@ -254,173 +193,99 @@ func (r *RAM) Inputs() []netlist.GateID {
 // Outputs implements Block.
 func (r *RAM) Outputs() []netlist.GateID { return r.rdata }
 
-// Eval implements Block: combinational read.
+// Eval implements Block: combinational read. A lane with a known-zero
+// select reads 0, one with an X select or an address with an X bit
+// reads X, and every other lane reads its own column of the addressed
+// word.
 func (r *RAM) Eval(s *Sim) {
 	en := s.Val[r.en]
+	rd := en.V // lanes that read a word: select known 1, address known
 	for i, id := range r.addr {
 		r.ain[i] = s.Val[id]
+		rd &= r.ain[i].D
 	}
-	var outV, outD [16]uint64
-	ev, eok := uniformKnown(en)
-	if eok && ev == logic.Zero {
-		for b := range outD {
-			outD[b] = ^uint64(0)
-		}
-		r.driveOut(s, &outV, &outD)
-		return
-	}
-	if eok && ev == logic.One {
-		uni := true
-		var a uint16
-		for i := range r.ain {
-			bv, bok := uniformKnown(r.ain[i])
-			if !bok {
-				uni = false
-				break
-			}
-			if bv == logic.One {
-				a |= 1 << uint(i)
-			}
-		}
-		if uni {
-			w := &r.words[a]
-			for b := range r.rdata {
-				outV[b] = w[b].V
-				outD[b] = w[b].D
-			}
-			r.driveOut(s, &outV, &outD)
-			return
-		}
-	}
-	// Per-lane slow path: some lane has an X enable or the addresses
-	// diverged.
-	for l := 0; l < Lanes; l++ {
-		bit := uint64(1) << uint(l)
-		switch en.Lane(l) {
-		case logic.Zero:
-			for b := range outD {
-				outD[b] |= bit // known zero
-			}
-			continue
-		case logic.X:
-			continue // all-X read
-		}
-		a := laneWord(r.ain, l)
-		if !a.Known() {
-			continue // X address: all-X read
-		}
-		w := &r.words[a.Val]
-		for b := range r.rdata {
-			outV[b] |= w[b].V & bit
-			outD[b] |= w[b].D & bit
-		}
-	}
-	r.driveOut(s, &outV, &outD)
-}
-
-func (r *RAM) driveOut(s *Sim, outV, outD *[16]uint64) {
+	r.out = [16]W{}
+	r.walk(len(r.ain)-1, 0, rd, (*RAM).readWord)
+	zero := en.D &^ en.V
 	for b, id := range r.rdata {
-		s.BlockDrive(id, W{outV[b], outD[b]})
+		s.BlockDrive(id, W{r.out[b].V, r.out[b].D | zero})
 	}
 }
 
-// Clock implements Block: commit writes from settled pin values,
-// per-lane, with the scalar RAM's conservative merge semantics.
+// readWord gathers word i's planes into the read result for the lanes
+// in reach.
+func (r *RAM) readWord(i int, reach uint64) {
+	w := &r.words[i]
+	for b := range r.out {
+		r.out[b].V |= w[b].V & reach
+		r.out[b].D |= w[b].D & reach
+	}
+}
+
+// Clock implements Block: commit writes from settled pin values with
+// the scalar RAM's conservative semantics, all lanes at once. Per byte,
+// a lane whose select and byte enable may both be 1 writes. It
+// overwrites when its address is known and both enables are known 1;
+// any other writing lane (X enable, or an address with X bits, which
+// reaches every word it could equal) merges the data into the old
+// contents.
 func (r *RAM) Clock(s *Sim) {
 	wl, wh := s.Val[r.wenLo], s.Val[r.wenHi]
 	en := s.Val[r.en]
-	// No lane can write: both enables known-zero everywhere, or the
-	// select known-zero everywhere.
-	if (wl.D == ^uint64(0) && wl.V == 0 && wh.D == ^uint64(0) && wh.V == 0) ||
-		(en.D == ^uint64(0) && en.V == 0) {
+	enOn := en.V | ^en.D
+	lo, hi := enOn&(wl.V|^wl.D), enOn&(wh.V|^wh.D)
+	if lo|hi == 0 {
 		return
 	}
+	def := en.V // lanes with select known 1 and a known address
 	for i, id := range r.addr {
 		r.ain[i] = s.Val[id]
+		def &= r.ain[i].D
 	}
 	for i, id := range r.wdata {
 		r.din[i] = s.Val[id]
 	}
+	r.over = [2]uint64{lo & def & wl.V, hi & def & wh.V}
+	r.merge = [2]uint64{lo &^ r.over[0], hi &^ r.over[1]}
+	r.walk(len(r.ain)-1, 0, lo|hi, (*RAM).writeWord)
+}
 
-	// Lockstep fast path: every control pin and the address are uniform
-	// and known, so one plane-level write covers all lanes at once (the
-	// data planes themselves may still differ per lane).
-	wlv, wlok := uniformKnown(wl)
-	whv, whok := uniformKnown(wh)
-	env, enok := uniformKnown(en)
-	if wlok && whok && enok {
-		if env == logic.Zero || (wlv == logic.Zero && whv == logic.Zero) {
-			return
-		}
-		uni := true
-		var a uint16
-		for i := range r.ain {
-			bv, bok := uniformKnown(r.ain[i])
-			if !bok {
-				uni = false
-				break
-			}
-			if bv == logic.One {
-				a |= 1 << uint(i)
-			}
-		}
-		if uni {
-			w := &r.words[a]
-			if wlv == logic.One {
-				for b := 0; b < 8; b++ {
-					w[b] = r.din[b]
-				}
-			}
-			if whv == logic.One {
-				for b := 8; b < 16; b++ {
-					w[b] = r.din[b]
-				}
-			}
-			return
-		}
-	}
-
-	// Per-lane slow path.
-	for l := 0; l < Lanes; l++ {
-		wlL, whL := wl.Lane(l), wh.Lane(l)
-		if wlL == logic.Zero && whL == logic.Zero {
+// writeWord commits the pending write into word i for the lanes in
+// reach: overwrite lanes take the data, merge lanes keep a bit known
+// only where the old contents and the data agree on a known value.
+func (r *RAM) writeWord(i int, reach uint64) {
+	for k := 0; k < 2; k++ {
+		o, m := r.over[k]&reach, r.merge[k]&reach
+		if o|m == 0 {
 			continue
 		}
-		enL := en.Lane(l)
-		if enL == logic.Zero {
-			continue
-		}
-		data := laneWord(r.din, l)
-		a := laneWord(r.ain, l)
-		write := func(old logic.Word) logic.Word {
-			nw := old
-			if wlL != logic.Zero {
-				nw = nw.MergeLane(data, 0, wlL == logic.One && enL == logic.One)
-			}
-			if whL != logic.Zero {
-				nw = nw.MergeLane(data, 8, whL == logic.One && enL == logic.One)
-			}
-			return nw
-		}
-		if a.Known() {
-			r.setLane(a.Val, l, write(r.LaneWord(l, a.Val)))
-			continue
-		}
-		// Unknown address: merge into every word the partially-known
-		// address could reach, exactly like the scalar RAM.
-		for i := range r.words {
-			if (a.Val^uint16(i))&^a.Mask == 0 {
-				old := r.LaneWord(l, uint16(i))
-				r.setLane(uint16(i), l, old.Merge(write(old)))
-			}
+		keep := ^(o | m)
+		w := (*[8]W)(r.words[i][8*k:])
+		d := (*[8]W)(r.din[8*k:])
+		for b := range w {
+			old := w[b]
+			agree := old.D & d[b].D &^ (old.V ^ d[b].V) & m
+			w[b] = W{old.V&keep | d[b].V&o | old.V&agree, old.D&keep | d[b].D&o | agree}
 		}
 	}
 }
 
-func (r *RAM) setLane(i uint16, l int, w logic.Word) {
-	for b := 0; b < 16; b++ {
-		r.words[i][b] = r.words[i][b].SetLane(l, w.Bit(uint(b)))
+// walk visits every word the address planes in r.ain can reach from
+// the lanes in reach, calling leaf once per word with the lanes that
+// reach it. Address bits from bit down to 0 split the lanes: a known
+// bit sends a lane one way, an X bit both ways, and a subtree no lane
+// reaches is skipped.
+func (r *RAM) walk(bit, i int, reach uint64, leaf func(*RAM, int, uint64)) {
+	if reach == 0 {
+		return
 	}
+	if bit < 0 {
+		leaf(r, i, reach)
+		return
+	}
+	a := r.ain[bit]
+	r.walk(bit-1, i|1<<uint(bit), reach&(a.V|^a.D), leaf)
+	r.walk(bit-1, i, reach&^a.V, leaf)
 }
 
 // Reset implements Block: all words become X in every lane.

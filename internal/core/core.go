@@ -27,6 +27,7 @@ import (
 	"bespoke/internal/cut"
 	"bespoke/internal/equiv"
 	"bespoke/internal/layout"
+	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
 	"bespoke/internal/parallel"
 	"bespoke/internal/power"
@@ -51,13 +52,48 @@ type IRQStep struct {
 // Workload is one representative concrete execution used for dynamic
 // power measurement and input-based verification.
 type Workload struct {
-	// RAM preloads words (byte address -> value) before release.
+	// RAM preloads words (byte address -> value) before release. Every
+	// address must be even and inside data RAM (see Validate).
 	RAM map[uint16]uint16
 	// P1 and IRQ drive input pins at given cycles.
 	P1  []P1Step
 	IRQ []IRQStep
 	// MaxCycles bounds the run (default 2M).
 	MaxCycles uint64
+}
+
+// PreloadError reports a RAM preload no harness can apply: its byte
+// address lies outside data RAM (msp430.RAMStart..RAMEnd) or is odd,
+// which would alias the even word below it.
+type PreloadError struct {
+	Addr uint16
+}
+
+func (e *PreloadError) Error() string {
+	if msp430.InRAM(e.Addr) {
+		return fmt.Sprintf("core: RAM preload address %#04x is odd (preloads are whole words)", e.Addr)
+	}
+	return fmt.Sprintf("core: RAM preload address %#04x is outside data RAM %#04x..%#04x",
+		e.Addr, msp430.RAMStart, msp430.RAMEnd)
+}
+
+// Validate reports whether every harness can apply w; a nil workload is
+// valid. A bad RAM preload is a *PreloadError naming the lowest bad
+// address, so the error does not depend on map order.
+func (w *Workload) Validate() error {
+	if w == nil {
+		return nil
+	}
+	var bad *PreloadError
+	for a := range w.RAM {
+		if (!msp430.InRAM(a) || a&1 != 0) && (bad == nil || a < bad.Addr) {
+			bad = &PreloadError{Addr: a}
+		}
+	}
+	if bad != nil {
+		return bad
+	}
+	return nil
 }
 
 // Options tunes the flow.
@@ -173,7 +209,9 @@ func RunWorkloadHooked(ctx context.Context, core *cpu.Core, prog *asm.Program, w
 	}
 	stim := NewStimulus(w)
 	max := stim.Budget()
-	stim.PreloadRAM(h.SetRAMWord)
+	if err := stim.PreloadRAM(h.SetRAMWord); err != nil {
+		return nil, stageErr(stage, netlist.None, err)
+	}
 	h.Sim.ResetToggleCounts()
 	for {
 		if h.Cycles&ctxCheckMask == 0 {
@@ -260,6 +298,11 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 	for i, p := range progs {
 		if p == nil {
 			return nil, stageErr(stage, netlist.None, fmt.Errorf("core: program %d is nil", i))
+		}
+	}
+	for i, w := range ws {
+		if err := w.Validate(); err != nil {
+			return nil, stageErr(stage, netlist.None, fmt.Errorf("workload %d: %w", i, err))
 		}
 	}
 	lib := opts.Lib

@@ -40,13 +40,18 @@ func (s *Stimulus) Budget() uint64 {
 	return DefaultMaxCycles
 }
 
-// PreloadRAM passes every preloaded RAM word (byte address, value) to
-// set.
-func (s *Stimulus) PreloadRAM(set func(addr, v uint16)) {
+// PreloadRAM validates the workload and then passes every preloaded RAM
+// word (byte address, value) to set. A workload that fails Validate
+// preloads nothing.
+func (s *Stimulus) PreloadRAM(set func(addr, v uint16)) error {
+	if err := s.w.Validate(); err != nil {
+		return err
+	}
 	if s.w == nil {
-		return
+		return nil
 	}
 	for addr, v := range s.w.RAM {
 		set(addr, v)
 	}
+	return nil
 }

@@ -77,7 +77,9 @@ func Analyze(prog *asm.Program, w *core.Workload) (*Report, error) {
 	h.Sim.TagTouched = make([]bool, len(names)+1)
 
 	stim := core.NewStimulus(w)
-	stim.PreloadRAM(h.SetRAMWord)
+	if err := stim.PreloadRAM(h.SetRAMWord); err != nil {
+		return nil, err
+	}
 	h.Sim.ResetToggleCounts()
 
 	idle := make([]uint64, len(names))

@@ -187,7 +187,9 @@ func RunFor(prog *asm.Program, w *core.Workload, cycles uint64) (*core.RunTrace,
 		return nil, err
 	}
 	stim := core.NewStimulus(w)
-	stim.PreloadRAM(h.SetRAMWord)
+	if err := stim.PreloadRAM(h.SetRAMWord); err != nil {
+		return nil, err
+	}
 	h.Sim.ResetToggleCounts()
 	for h.Cycles < cycles {
 		stim.Apply(h.Cycles, h.SetP1In, h.SetIRQ)

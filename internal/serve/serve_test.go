@@ -137,6 +137,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad-image-base64", &Request{Image: &Image{Origin: 0xF000, Data: "@@@"}}},
 		{"empty-image", &Request{Image: &Image{Origin: 0xF000, Data: ""}}},
 		{"bad-ram-key", &Request{Source: addSrc, Workload: &Workload{RAM: map[string]uint16{"xyz": 1}}}},
+		{"ram-outside-data-ram", &Request{Source: addSrc, Workload: &Workload{RAM: map[string]uint16{"0x0010": 1}}}},
+		{"ram-odd-address", &Request{Source: addSrc, Workload: &Workload{RAM: map[string]uint16{"2305": 1}}}},
 		{"programs-and-source", &Request{Source: addSrc, Programs: []ProgramSpec{{Source: addSrc}}}},
 	}
 	for _, tt := range cases {

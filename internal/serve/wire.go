@@ -67,7 +67,8 @@ type Image struct {
 
 // Workload mirrors core.Workload in wire-friendly form.
 type Workload struct {
-	// RAM preloads words: decimal-string byte address -> value.
+	// RAM preloads words: decimal-string byte address -> value. Every
+	// address must be even and inside data RAM (core.Workload.Validate).
 	RAM map[string]uint16 `json:"ram,omitempty"`
 	// P1 and IRQ drive input pins at given cycles.
 	P1  []P1Step  `json:"p1,omitempty"`
@@ -398,6 +399,9 @@ func (w *Workload) compile() (*core.Workload, error) {
 	}
 	for _, s := range w.IRQ {
 		out.IRQ = append(out.IRQ, core.IRQStep{At: s.At, Line: s.Line, Level: s.Level})
+	}
+	if err := out.Validate(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -90,7 +90,9 @@ func (t *covTracker) run(w *core.Workload) error {
 	p := t.prog.MustProg()
 	m := isasim.New(p.Bytes, p.Origin)
 	stim := core.NewStimulus(w)
-	stim.PreloadRAM(func(a, v uint16) { m.LoadRAMWords(a, []uint16{v}) })
+	if err := stim.PreloadRAM(func(a, v uint16) { m.LoadRAMWords(a, []uint16{v}) }); err != nil {
+		return err
+	}
 	max := t.prog.MaxCycles
 	if max == 0 {
 		max = core.DefaultMaxCycles
