@@ -367,6 +367,44 @@ func BenchmarkProveMiter(b *testing.B) {
 	b.ReportMetric(float64(mres.Merged), "merged-gates")
 }
 
+// BenchmarkProveClaims measures the per-claim SAT prover alone: one
+// worker, so every query of a program runs on one solver in a fixed
+// order, over a fixed catalog subset whose analysis runs outside the
+// timer.
+func BenchmarkProveClaims(b *testing.B) {
+	ctx := context.Background()
+	var envs []*equiv.Env
+	for _, name := range []string{"dbg", "binSearch", "div", "tea8", "FFT"} {
+		res, c, err := symexec.Analyze(ctx, bench.ByName(name).MustProg(), symexec.Options{RecordDomains: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		env, err := equiv.NewCoreEnv(c, res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		envs = append(envs, env)
+	}
+	var queries, props int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		queries, props = 0, 0
+		for _, env := range envs {
+			rep, err := equiv.ProveClaims(ctx, env, equiv.Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Refuted != 0 {
+				b.Fatalf("honest claims refuted: %d", rep.Refuted)
+			}
+			queries += rep.SATQueries
+			props += rep.Propagations
+		}
+	}
+	b.ReportMetric(float64(queries), "sat-queries")
+	b.ReportMetric(float64(props), "propagations")
+}
+
 // BenchmarkTailorFlow measures the complete flow end to end.
 func BenchmarkTailorFlow(b *testing.B) {
 	bm := bench.ByName("div")

@@ -465,3 +465,50 @@ func TestMiterHardObligations(t *testing.T) {
 		})
 	}
 }
+
+// TestLeaveOneOut: every position's list holds each other literal exactly
+// once, the virtual position n holds them all in order, and consecutive
+// positions share all but a logarithmic tail — the property that lets a
+// trail-keeping solver skip re-propagating the common prefix.
+func TestLeaveOneOut(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		lits := make([]sat.Lit, n)
+		for i := range lits {
+			lits[i] = sat.Pos(sat.Var(i))
+		}
+		var prev []sat.Lit
+		pushed := 0
+		for pos := 0; pos <= n; pos++ {
+			got := leaveOneOut(nil, lits, pos)
+			seen := make(map[sat.Lit]bool, n)
+			for _, l := range got {
+				if seen[l] || l == sat.Pos(sat.Var(pos)) {
+					t.Fatalf("n=%d pos=%d: %v repeats or includes the left-out literal", n, pos, got)
+				}
+				seen[l] = true
+			}
+			if want := n - 1; pos == n {
+				want = n
+				if fmt.Sprint(got) != fmt.Sprint(lits) {
+					t.Fatalf("n=%d: virtual position gives %v, want every literal in order", n, got)
+				}
+			} else if len(got) != want {
+				t.Fatalf("n=%d pos=%d: %d literals, want %d", n, pos, len(got), want)
+			}
+			shared := 0
+			for shared < len(prev) && shared < len(got) && prev[shared] == got[shared] {
+				shared++
+			}
+			pushed += len(got) - shared
+			prev = got
+		}
+		// A sweep over all positions pushes at most n per halving level.
+		levels := 1
+		for 1<<levels < n {
+			levels++
+		}
+		if pushed > n*(levels+1) {
+			t.Fatalf("n=%d: consecutive lists re-push %d literals, want at most %d", n, pushed, n*(levels+1))
+		}
+	}
+}

@@ -6,6 +6,7 @@ package equiv_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -245,5 +246,56 @@ func TestProveClaimsReportsConflicts(t *testing.T) {
 	}
 	if rep.Conflicts <= 0 {
 		t.Fatalf("%d SAT queries reported %d conflicts, want > 0", rep.SATQueries, rep.Conflicts)
+	}
+}
+
+// TestProveClaimsDeterministic: each worker owns one contiguous block of
+// the query order and runs it on its own solver, so a run is a pure
+// function of the environment and the worker count — counts included,
+// not just verdicts — and the verdicts do not depend on the worker count
+// at all. The environment is in Induct shape (invariants behind
+// selectors, so UNSAT cores name the invariants they used); its
+// invariants are the analysis's recorded bus domains marked as proved,
+// because proving a set the cores actually use takes a deep induction
+// ladder and tens of seconds, and what is under test here is the
+// dispatch, not the invariants.
+func TestProveClaimsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping SAT proof runs")
+	}
+	ctx := context.Background()
+	env, res, _ := analyzeBench(t, "dbg")
+	for _, d := range res.BusDomains {
+		env.Invariants = append(env.Invariants, equiv.Invariant{Name: d.Name, K: 1, Bits: d.Bits, Cubes: d.Words})
+	}
+
+	prove := func(workers int) *equiv.Report {
+		t.Helper()
+		rep, err := equiv.ProveClaims(ctx, env, equiv.Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("ProveClaims (workers=%d): %v", workers, err)
+		}
+		return rep
+	}
+	a, b, one := prove(2), prove(2), prove(1)
+	used := 0
+	for i := range a.Results {
+		ra, rb := a.Results[i], b.Results[i]
+		if ra.Verdict != rb.Verdict || ra.K != rb.K || !slices.Equal(ra.Used, rb.Used) {
+			t.Fatalf("claim %d differs between identical runs: %v K=%d used=%v vs %v K=%d used=%v",
+				i, ra.Verdict, ra.K, ra.Used, rb.Verdict, rb.K, rb.Used)
+		}
+		if ra.Verdict != one.Results[i].Verdict {
+			t.Fatalf("claim %d: verdict %v with 2 workers, %v with 1", i, ra.Verdict, one.Results[i].Verdict)
+		}
+		used += len(ra.Used)
+	}
+	if a.SATQueries != b.SATQueries || a.Conflicts != b.Conflicts {
+		t.Fatalf("identical runs disagree: %d/%d queries, %d/%d conflicts",
+			a.SATQueries, b.SATQueries, a.Conflicts, b.Conflicts)
+	}
+	t.Logf("used=%d queries=%d conflicts=%d", used, a.SATQueries, a.Conflicts)
+	if used == 0 {
+		t.Fatal("no claim names an invariant: the provenance path went unexercised")
 	}
 }

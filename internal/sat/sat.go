@@ -3,7 +3,8 @@
 // VSIDS-style variable activity with phase saving, first-UIP conflict
 // analysis with clause learning and basic self-subsumption minimization,
 // Luby restarts, activity-driven learnt-clause database reduction, and
-// incremental solving under assumptions with final-conflict extraction.
+// incremental solving under assumptions with final-conflict extraction
+// and trail reuse between calls.
 //
 // It exists so the bespoke flow can *prove* properties of netlists (see
 // internal/equiv) instead of sampling them: the equivalence engine
@@ -14,7 +15,7 @@ package sat
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 )
 
@@ -70,16 +71,6 @@ const (
 	lTrue
 	lFalse
 )
-
-func (b lbool) not() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}
 
 // Status is the outcome of a Solve call.
 type Status int
@@ -137,12 +128,17 @@ type Solver struct {
 	clauses []clause
 	watches [][]watch
 
-	assign []lbool
+	vals   []lbool // indexed by literal: the value of l is vals[l]
 	level  []int32
 	reason []int32 // clause ref, or -1 for decisions/assumptions
 	trail  []Lit
 	lim    []int32 // trail index at each decision level
 	qhead  int
+	// kept holds, between Solve calls, the assumption behind each
+	// decision level still on the trail: level i+1 was opened for
+	// kept[i]. The next Solve reuses the levels its own assumption list
+	// shares as a prefix.
+	kept []Lit
 
 	activity []float64
 	varInc   float64
@@ -153,7 +149,7 @@ type Solver struct {
 	unsatP   bool // permanently unsat at level 0
 	conflict []Lit
 
-	model []lbool
+	model []lbool // copy of vals at the last Sat answer; empty otherwise
 
 	maxLearnts   float64
 	budget       int64 // conflict budget per Solve; 0 = unlimited
@@ -167,10 +163,13 @@ func New() *Solver {
 	return &Solver{varInc: 1, maxLearnts: 4000}
 }
 
-// NewVar introduces a fresh variable.
+// NewVar introduces a fresh variable. Like AddClause it first drops the
+// trail the last Solve kept, so mutating the solver between solves never
+// sees a partial assignment.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assign))
-	s.assign = append(s.assign, lUndef)
+	s.cancelUntil(0)
+	v := Var(len(s.level))
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, -1)
 	s.activity = append(s.activity, 0)
@@ -188,33 +187,30 @@ func (s *Solver) SetBudget(conflicts int64) { s.budget = conflicts }
 // Stats returns a snapshot of the work counters.
 func (s *Solver) Stats() Stats { return s.stats }
 
-func (s *Solver) value(l Lit) lbool {
-	v := s.assign[l.Var()]
-	if l.Negated() {
-		return v.not()
-	}
-	return v
-}
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
+
+// numVars is the number of variables NewVar has introduced.
+func (s *Solver) numVars() int { return len(s.level) }
 
 // AddClause adds a disjunction of literals. It returns false when the
 // clause system is already unsatisfiable at the top level (either this
 // clause is empty after simplification, or an earlier contradiction was
-// recorded). Clauses may only be added between Solve calls.
+// recorded). Call it between Solve calls: it first backtracks to
+// decision level 0, dropping the trail the last Solve kept, so the next
+// Solve re-establishes every assumption under the new clause.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.unsatP {
 		return false
 	}
-	if len(s.lim) != 0 {
-		panic("sat: AddClause while not at decision level 0") // panic-ok: incremental API misuse, not a solvable instance
-	}
+	s.cancelUntil(0)
 	// Simplify: sort, drop duplicates and false-at-level-0 literals,
 	// detect tautologies and satisfied clauses.
 	ls := append(s.learntClause[:0], lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = LitUndef
 	for _, l := range ls {
-		if l.Var() < 0 || int(l.Var()) >= len(s.assign) {
+		if l.Var() < 0 || int(l.Var()) >= s.numVars() {
 			panic(fmt.Sprintf("sat: clause uses unknown variable %d", l.Var())) // panic-ok: clause over undeclared variables is API misuse
 		}
 		if l == prev {
@@ -261,11 +257,8 @@ func (s *Solver) attach(lits []Lit, learnt bool) int32 {
 
 func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
 	v := l.Var()
-	if l.Negated() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
 	s.level[v] = int32(len(s.lim))
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -465,9 +458,11 @@ func (s *Solver) cancelUntil(lvl int32) {
 		return
 	}
 	for i := len(s.trail) - 1; i >= int(s.lim[lvl]); i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assign[v] == lTrue
-		s.assign[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = !l.Negated()
+		s.vals[l] = lUndef
+		s.vals[l.Not()] = lUndef
 		s.reason[v] = -1
 		s.order.insert(v, s.activity)
 	}
@@ -510,7 +505,7 @@ func (s *Solver) pickBranch() Lit {
 		if !ok {
 			return LitUndef
 		}
-		if s.assign[v] == lUndef {
+		if s.vals[Pos(v)] == lUndef {
 			return MkLit(v, !s.phase[v])
 		}
 	}
@@ -583,18 +578,34 @@ const ctxCheckMask = 255
 // context that is already done aborts before any search, so callers that
 // fire many small budgeted queries honour it on every call. The solver
 // remains usable for further Solve and AddClause calls afterwards.
-func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) {
+//
+// Solve keeps the assumption levels of its trail when it returns (all of
+// them after Sat, all but the top one after Unsat, none after Unknown),
+// and the next Solve backtracks only to the first position where its
+// assumption list differs from the kept one (trail reuse). Callers that
+// issue many queries should therefore put the assumptions shared by
+// consecutive queries first, in a stable order: the shared prefix is
+// then propagated once instead of once per query. AddClause and NewVar
+// drop the kept trail, so a caller that mutates the solver between
+// solves searches exactly as if every Solve had ended at level 0.
+func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (st Status, err error) {
 	if s.unsatP {
 		s.conflict = s.conflict[:0]
 		return Unsat, nil
 	}
 	if err := ctx.Err(); err != nil {
+		s.cancelUntil(0)
 		return Unknown, err
 	}
 	s.stats.Solves++
-	s.model = nil
+	s.model = s.model[:0]
 	s.conflict = s.conflict[:0]
-	defer s.cancelUntil(0)
+	shared := 0
+	for shared < len(s.lim) && shared < len(assumptions) && s.kept[shared] == assumptions[shared] {
+		shared++
+	}
+	s.cancelUntil(int32(shared))
+	defer func() { s.keepTrail(st, err, assumptions) }()
 
 	var conflicts int64
 	restart := int64(1)
@@ -615,7 +626,7 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) 
 			if int32(len(s.lim)) <= int32(len(assumptions)) {
 				// Conflict at assumption level: extract the failing
 				// subset from the conflicting clause.
-				s.finalFromClause(confl, assumptions)
+				s.finalFromClause(confl)
 				return Unsat, nil
 			}
 			learnt, bt := s.analyze(confl)
@@ -670,7 +681,7 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) 
 		}
 		if len(s.lim) < len(assumptions) {
 			p := assumptions[len(s.lim)]
-			if p.Var() < 0 || int(p.Var()) >= len(s.assign) {
+			if p.Var() < 0 || int(p.Var()) >= s.numVars() {
 				panic(fmt.Sprintf("sat: assumption uses unknown variable %d", p.Var())) // panic-ok: assumption over undeclared variables is API misuse
 			}
 			switch s.value(p) {
@@ -690,7 +701,7 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) 
 		next := s.pickBranch()
 		if next == LitUndef {
 			// Full assignment: record the model.
-			s.model = append([]lbool(nil), s.assign...)
+			s.model = append(s.model, s.vals...)
 			return Sat, nil
 		}
 		s.stats.Decisions++
@@ -699,10 +710,28 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) 
 	}
 }
 
+// keepTrail ends a Solve: it backtracks to the assumption levels worth
+// keeping for the next call and records which assumptions they hold.
+// After Sat every assumption level is intact. After Unsat the top level
+// may be mid-conflict (propagate stopped early and moved qhead past it),
+// so it goes. After Unknown or a context error nothing is kept.
+func (s *Solver) keepTrail(st Status, err error, assumptions []Lit) {
+	keep := 0
+	switch {
+	case err != nil || st == Unknown:
+	case st == Sat:
+		keep = len(assumptions)
+	case len(s.lim) > 0:
+		keep = len(s.lim) - 1
+	}
+	s.cancelUntil(int32(keep))
+	s.kept = append(s.kept[:0], assumptions[:len(s.lim)]...)
+}
+
 // finalFromClause seeds analyzeFinal-style extraction from a conflicting
 // clause discovered while the trail holds only assumptions and their
 // consequences.
-func (s *Solver) finalFromClause(confl int32, assumptions []Lit) {
+func (s *Solver) finalFromClause(confl int32) {
 	s.conflict = s.conflict[:0]
 	for _, q := range s.clauses[confl].lits {
 		if s.level[q.Var()] > 0 {
@@ -733,16 +762,15 @@ func (s *Solver) finalFromClause(confl int32, assumptions []Lit) {
 	for _, q := range s.clauses[confl].lits {
 		s.seen[q.Var()] = false
 	}
-	_ = assumptions
 }
 
 // Value returns the model value of v after a Sat result. It panics when
 // no model is available.
 func (s *Solver) Value(v Var) bool {
-	if s.model == nil {
+	if len(s.model) == 0 {
 		panic("sat: Value called without a model") // panic-ok: Value without a model is API misuse, documented on the method
 	}
-	return s.model[v] == lTrue
+	return s.model[Pos(v)] == lTrue
 }
 
 // Fixed reports the value of v when the clause database alone forces it:
@@ -750,10 +778,10 @@ func (s *Solver) Value(v Var) bool {
 // ok is false for variables search still decides. Call it between Solve
 // calls.
 func (s *Solver) Fixed(v Var) (val, ok bool) {
-	if s.assign[v] == lUndef || s.level[v] != 0 {
+	if s.vals[Pos(v)] == lUndef || s.level[v] != 0 {
 		return false, false
 	}
-	return s.assign[v] == lTrue, true
+	return s.vals[Pos(v)] == lTrue, true
 }
 
 // FailedAssumptions returns the subset of the last Solve's assumptions
@@ -844,12 +872,3 @@ func (h *heap) down(i int, act []float64) {
 	h.data[i] = v
 	h.pos[v] = int32(i)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-var _ = math.Inf // keep math imported for future heuristics
