@@ -37,7 +37,8 @@ type Workload = core.Workload
 // executable bespoke design.
 type Result = core.Result
 
-// Options tunes the flow (analysis limits, clock period, cell library).
+// Options tunes the flow (analysis limits, clock period, formal and
+// resilience gates).
 type Options = core.Options
 
 // FlowError is the structured failure of one pipeline stage. Every error
@@ -113,12 +114,7 @@ func SupportsUpdateContext(ctx context.Context, base []*Program, update *Program
 	if err != nil {
 		return false, err
 	}
-	for g := range ua.Toggled {
-		if ua.Toggled[g] && !ba.Toggled[g] {
-			return false, nil
-		}
-	}
-	return true, nil
+	return len(ba.Missing(ua)) == 0, nil
 }
 
 // WriteVerilog emits a result's bespoke netlist as structural Verilog.

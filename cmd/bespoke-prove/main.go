@@ -1,9 +1,10 @@
 // Command bespoke-prove formally verifies the constants the tailoring
-// flow wants to stitch: for each target application it runs the activity
-// analysis, discharges every claimed constant as a SAT proof obligation
-// (implied by the program image and the recorded reachable bus values),
-// and checks the cut+re-synthesized netlist against the baseline with a
-// miter.
+// flow wants to stitch: for each target application it runs the flow up
+// to its formal gate (core.Prove): the activity analysis, cut, resynth
+// and the lint gate, then every claimed constant as a SAT proof
+// obligation (implied by the program image and the recorded reachable
+// bus values), and the cut+re-synthesized netlist against the baseline
+// with a miter.
 //
 // Usage:
 //
@@ -16,10 +17,12 @@
 // infers and discharges reachable-state invariants by k-induction; the
 // per-claim proofs and the miter then consume those PROVED facts instead
 // of the dynamically recorded bus domains, and claims in the inductive
-// core are upgraded. -k caps the induction ladder depth, -invariants
-// prints the per-benchmark proved-invariant table, and -max-assumed N
-// fails the sweep (exit 1) when the total of assumed claims exceeds N —
-// the CI gate that keeps the assumption tail from regressing.
+// core are upgraded; every dynamically recorded bus value must lie
+// inside the proved invariants, or the run fails as a soundness bug. -k
+// caps the induction ladder depth, -invariants prints the per-benchmark
+// proved-invariant table, and -max-assumed N fails the sweep (exit 1)
+// when the total of assumed claims exceeds N — the CI gate that keeps
+// the assumption tail from regressing.
 //
 // The exit status is 0 when every claim is proved or explicitly assumed
 // and the miter holds, 1 when any claim is refuted, a miter fails, or
@@ -40,11 +43,7 @@ import (
 	"bespoke/internal/asm"
 	"bespoke/internal/bench"
 	"bespoke/internal/core"
-	"bespoke/internal/cut"
 	"bespoke/internal/equiv"
-	"bespoke/internal/induct"
-	"bespoke/internal/symexec"
-	"bespoke/internal/synth"
 )
 
 type target struct {
@@ -99,7 +98,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the results as JSON")
 	workers := flag.Int("workers", 0, "parallel proof workers (0 = all cores)")
 	budget := flag.Int64("budget", 0, "per-query conflict budget (0 = default)")
-	noMiter := flag.Bool("no-miter", false, "skip the base-vs-bespoke miter check")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget (0 = unlimited)")
 	useInduct := flag.Bool("induct", false, "infer and prove reachable-state invariants by k-induction; drop the dynamic-domain hypotheses")
 	kDepth := flag.Int("k", 0, "maximum induction ladder depth with -induct (0 = engine default)")
@@ -122,17 +120,16 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := proveConfig{
-		opts:    equiv.Options{Workers: *workers, QueryBudget: *budget},
-		miter:   !*noMiter,
-		induct:  *useInduct,
-		inductK: *kDepth,
+	opts := core.Options{
+		ProveOpts: equiv.Options{Workers: *workers, QueryBudget: *budget},
+		Induct:    *useInduct,
+		InductK:   *kDepth,
 	}
 	exit := 0
 	totalAssumed := 0
 	var results []result
 	for _, tg := range targets {
-		r := prove(ctx, tg, cfg)
+		r := prove(ctx, tg, opts)
 		results = append(results, r)
 		totalAssumed += r.Assumed
 		if !*jsonOut {
@@ -141,7 +138,7 @@ func main() {
 				writeInvariants(os.Stdout, r)
 			}
 		}
-		if r.Refuted > 0 || (cfg.miter && r.Error == "" && !r.Miter) {
+		if r.Refuted > 0 || (r.Error == "" && !r.Miter) {
 			if exit < 1 {
 				exit = 1
 			}
@@ -200,70 +197,25 @@ func gather(benches string, files []string) ([]target, error) {
 	return targets, nil
 }
 
-// proveConfig bundles the per-target knobs of one sweep.
-type proveConfig struct {
-	opts    equiv.Options
-	miter   bool
-	induct  bool
-	inductK int
-}
-
-// prove runs the analysis, the per-claim proofs and (optionally) the
-// miter for one target. Errors and timeouts are folded into the result so
-// a sweep keeps going.
-func prove(ctx context.Context, tg target, cfg proveConfig) (r result) {
+// prove runs core.Prove for one target and maps its outcome onto a
+// result row. Errors and timeouts are folded into the row so a sweep
+// keeps going; a timeout keeps the tallies decided before it.
+func prove(ctx context.Context, tg target, opts core.Options) (r result) {
 	r = result{Name: tg.name}
 	start := time.Now()
 	defer func() { r.Ms = float64(time.Since(start).Microseconds()) / 1000 }()
 
-	res, c, err := symexec.Analyze(ctx, tg.prog, symexec.Options{RecordDomains: true})
-	if err != nil {
-		r.Error = err.Error()
-		return r
-	}
-	env, err := equiv.NewCoreEnv(c, res)
-	if err != nil {
-		r.Error = err.Error()
-		return r
-	}
-	r.Claims = len(env.Claims)
-
-	if cfg.induct {
-		spec, serr := induct.NewCoreSpec(c, res, induct.DefaultSampleCycles)
-		if serr != nil {
-			r.Error = serr.Error()
-			return r
-		}
-		ires, ierr := induct.Prove(ctx, spec, env.Claims, induct.Options{
-			K:           cfg.inductK,
-			QueryBudget: cfg.opts.QueryBudget,
-		})
-		if ierr != nil {
-			r.Error = ierr.Error()
-			return r
-		}
-		env.Invariants = ires.Invariants
-		env.InductCore = ires.Core
-		r.K = ires.K
-		r.Invariants = len(ires.Invariants)
-		r.Candidates = ires.Candidates
-		r.InductRounds = ires.Rounds
-		r.InductQueries = ires.Queries
-		r.InductConfl = ires.Conflicts
-	}
-
-	rep, err := equiv.ProveClaims(ctx, env, cfg.opts)
+	pr, err := core.Prove(ctx, tg.prog, opts)
 	if err != nil {
 		var le *equiv.LimitError
-		if errors.As(err, &le) && le.Report != nil {
-			// Partial progress: report what was decided before the abort.
-			r.Timeout = true
-			rep = le.Report
-		} else {
+		if !errors.As(err, &le) || pr == nil {
 			r.Error = err.Error()
 			return r
 		}
+		r.Timeout = true
 	}
+	rep := pr.Claims
+	r.Claims = len(rep.Results)
 	r.Struct = rep.ProvedStructural
 	r.SAT = rep.ProvedSAT
 	r.Induct = rep.ProvedInduct
@@ -271,44 +223,27 @@ func prove(ctx context.Context, tg target, cfg proveConfig) (r result) {
 	r.Assumed = rep.Assumed
 	r.Refuted = rep.Refuted
 	r.Queries = rep.SATQueries
-	if cfg.induct {
-		use := rep.InvariantUse(len(env.Invariants))
-		for i := range env.Invariants {
-			iv := &env.Invariants[i]
-			r.InvariantTable = append(r.InvariantTable, invariantRow{
-				Name: iv.Name, K: iv.K, Cubes: len(iv.Cubes), Used: use[i],
-			})
-			if use[i] > 0 {
+	if s := pr.Induct; s != nil {
+		r.K = s.K
+		r.Invariants = s.Invariants
+		r.Candidates = s.Candidates
+		r.InductRounds = s.Rounds
+		r.InductQueries = s.Queries
+		r.InductConfl = s.Conflicts
+		for _, iv := range s.Provenance.Invariants {
+			r.InvariantTable = append(r.InvariantTable, invariantRow(iv))
+			if iv.Used > 0 {
 				r.InvariantsUsed++
 			}
 		}
 	}
-
-	if !cfg.miter || r.Timeout || r.Refuted > 0 {
-		return r
+	if m := pr.Miter; m != nil {
+		r.Miter = m.Equivalent
+		r.MiterObs = m.Obligations
+		r.MiterQueries = m.SATQueries
+		r.MiterConflicts = m.Conflicts
+		r.MiterMerged = m.Merged
 	}
-	bespoke := c.Clone()
-	if _, err := cut.Apply(bespoke.N, res.Toggled, res.ConstVal); err != nil {
-		r.Error = err.Error()
-		return r
-	}
-	keep := append(bespoke.ROM.Inputs(), bespoke.RAM.Inputs()...)
-	synth.Optimize(bespoke.N, keep)
-	mres, err := equiv.ProveMiter(ctx, env, bespoke.N, rep, cfg.opts)
-	if err != nil {
-		var le *equiv.LimitError
-		if errors.As(err, &le) {
-			r.Timeout = true
-			return r
-		}
-		r.Error = err.Error()
-		return r
-	}
-	r.Miter = mres.Equivalent
-	r.MiterObs = mres.Obligations
-	r.MiterQueries = mres.SATQueries
-	r.MiterConflicts = mres.Conflicts
-	r.MiterMerged = mres.Merged
 	return r
 }
 

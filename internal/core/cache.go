@@ -334,17 +334,15 @@ func (tc *TailorCache) insertLocked(ent *cacheEntry) {
 	}
 }
 
-// Key computes the content address of one flow input (see Key). Custom
-// cell libraries are not content-addressable, so they are rejected
-// rather than risking a false hit.
+// Key computes the content address of one flow input (see Key). It
+// hashes the options as the flow reads them (Options.normalized), so two
+// spellings of one flow share an entry.
 func (tc *TailorCache) Key(progs []*asm.Program, ws []*Workload, opts Options) (Key, error) {
 	var zero Key
 	if len(progs) == 0 {
 		return zero, fmt.Errorf("core: no programs")
 	}
-	if opts.Lib != nil {
-		return zero, fmt.Errorf("core: TailorCache does not support custom cell libraries")
-	}
+	opts = opts.normalized()
 	state, err := baseKeyState()
 	if err != nil {
 		return zero, err
@@ -369,7 +367,6 @@ func (tc *TailorCache) Key(progs []*asm.Program, ws []*Workload, opts Options) (
 		h.Write(p.Bytes)
 	}
 	u64(opts.Sym.MaxCycles)
-	u64(uint64(opts.Sym.WatchGate))
 	u64(uint64(opts.Sym.MergeThreshold))
 	u64(uint64(int64(opts.ClockPs * 1e3)))
 	// The formal gate changes the result (Proofs, and RecordDomains
@@ -377,9 +374,6 @@ func (tc *TailorCache) Key(progs []*asm.Program, ws []*Workload, opts Options) (
 	// likewise the resilience gate (Resilience report, and a run that
 	// passed one budget may fail another).
 	flags := uint64(0)
-	if opts.Induct { // mirror Tailor's normalization: Induct implies Prove
-		opts.Prove = true
-	}
 	if opts.Prove {
 		flags |= 1
 	}

@@ -27,6 +27,7 @@ import (
 	"bespoke/internal/cut"
 	"bespoke/internal/equiv"
 	"bespoke/internal/layout"
+	"bespoke/internal/logic"
 	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
 	"bespoke/internal/parallel"
@@ -104,8 +105,6 @@ type Options struct {
 	// baseline's critical path (the baseline just meets timing, like a
 	// design synthesized for its target frequency).
 	ClockPs float64
-	// Lib overrides the cell library.
-	Lib *cells.Library
 	// Prove enables the formal gate: every cut constant must be proved
 	// implied by the proof environment (or recorded as assumed), and the
 	// bespoke netlist must be miter-equivalent to the baseline, for every
@@ -305,16 +304,8 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 			return nil, stageErr(stage, netlist.None, fmt.Errorf("workload %d: %w", i, err))
 		}
 	}
-	lib := opts.Lib
-	if lib == nil {
-		lib = cells.TSMC65()
-	}
-	if opts.Induct {
-		opts.Prove = true
-	}
-	if opts.Prove {
-		opts.Sym.RecordDomains = true
-	}
+	lib := cells.TSMC65()
+	opts = opts.normalized()
 
 	// Gate activity analysis per program; the union of toggled gates
 	// must be retained (gate IDs align across builds: elaboration is
@@ -333,9 +324,9 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 
 	// Baseline signoff. The clock is set so the baseline just meets
 	// timing unless overridden. Placement and timing do not depend on
-	// the program, so they come from the library's shared template.
+	// the program, so they come from the shared template.
 	stage = "baseline-signoff"
-	tmpl, err := templateFor(lib)
+	tmpl, err := templateFor()
 	if err != nil {
 		return nil, stageErr(stage, netlist.None, err)
 	}
@@ -351,40 +342,17 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 		return nil, stageErr(stage, netlist.None, fmt.Errorf("baseline workload: %w", err))
 	}
 
-	// Cut and stitch on a clone.
+	// Cut, stitch, re-synthesize and lint a fresh copy of the base core.
 	stage = "cut"
-	bespoke := baseline.Clone()
 	toggled := union.Toggled
 	if coarse {
-		toggled = coarsen(bespoke.N, toggled)
+		toggled = coarsen(baseline.N, toggled)
 	}
-	cutStats, err := cut.Apply(bespoke.N, toggled, union.ConstVal)
+	bespoke, cutStats, synthStats, err := cutAndLint(ctx, &stage, toggled, union.ConstVal)
 	if err != nil {
-		gate := netlist.None
-		var ge *cut.GateError
-		if errors.As(err, &ge) {
-			gate = ge.Gate
-		}
-		return nil, stageErr(stage, gate, err)
+		return nil, err
 	}
-	stage = "resynth"
-	synthStats := synth.Optimize(bespoke.N, keepAlive(bespoke))
-	if testHookPostSynth != nil {
-		testHookPostSynth(bespoke.N)
-	}
-
-	// Static gate: no netlist leaves the flow without passing lint. The
-	// dynamic signoff below can only catch defects the quick workload
-	// happens to toggle; the analyzers are input-independent.
-	stage = "lint"
-	if lerr := lintGate(ctx, bespoke); lerr != nil {
-		gate := netlist.None
-		var le *LintError
-		if errors.As(lerr, &le) {
-			gate = le.Gate()
-		}
-		return nil, stageErr(stage, gate, lerr)
-	}
+	bespoke.LoadProgram(progs[0].Bytes, progs[0].Origin)
 
 	// Formal gate: prove the recorded constants and the equivalence of
 	// the transformation before spending any signoff effort.
@@ -482,75 +450,71 @@ func UnionAnalysis(ctx context.Context, progs []*asm.Program, opts symexec.Optio
 	if perr != nil {
 		return nil, perr
 	}
-	for _, res := range analyses {
-		if union == nil {
-			union = res
-			continue
-		}
-		for i := range union.Toggled {
-			if res.Toggled[i] {
-				union.Toggled[i] = true
-			} else if !union.Toggled[i] && union.ConstVal[i] != res.ConstVal[i] {
-				// Untoggled in both but at different constants: the
-				// gate is static per application but not across them;
-				// it must be kept.
-				union.Toggled[i] = true
-			}
-		}
-		union.Paths += res.Paths
-		union.Cycles += res.Cycles
-		union.Merges += res.Merges
-		union.BusDomains = mergeDomains(union.BusDomains, res.BusDomains)
+	union = analyses[0]
+	for _, res := range analyses[1:] {
+		union.Merge(res)
 	}
 	return union, nil
 }
 
-// mergeDomains unions per-bus value sets across programs. The union of
-// over-approximations is an over-approximation of every program's
-// reachable set, so proofs under the merged domain stay sound for each
-// individual program.
-func mergeDomains(a, b []symexec.BusDomain) []symexec.BusDomain {
-	if len(a) == 0 {
-		return b
+// Cut tailors a fresh copy of the base core to an activity record: it
+// removes every gate not in toggled, stitches each in its constVal, and
+// re-synthesizes the result while keeping the memory macro pins alive.
+// The core's ROM is empty; load a program before running it. Errors are
+// *FlowError values from the "cut" or "resynth" stage.
+func Cut(toggled []bool, constVal []logic.V) (c *cpu.Core, cs cut.Stats, ss synth.Stats, err error) {
+	stage := "cut"
+	defer guard(&stage, &err)
+	c = cpu.Base()
+	if cs, err = cut.Apply(c.N, toggled, constVal); err != nil {
+		gate := netlist.None
+		var ge *cut.GateError
+		if errors.As(err, &ge) {
+			gate = ge.Gate
+		}
+		return nil, cs, ss, stageErr(stage, gate, err)
 	}
-	byName := make(map[string]int, len(a))
-	for i := range a {
-		byName[a[i].Name] = i
+	stage = "resynth"
+	return c, cs, synth.Optimize(c.N, keepAlive(c)), nil
+}
+
+// cutAndLint runs the flow's cut, resynth and lint stages from the "cut"
+// stage on, advancing *stage to "lint" for the caller's panic guard. No
+// netlist leaves the flow without passing lint: the dynamic signoff can
+// only catch defects the quick workload happens to toggle, while the
+// analyzers are input-independent.
+func cutAndLint(ctx context.Context, stage *string, toggled []bool, constVal []logic.V) (*cpu.Core, cut.Stats, synth.Stats, error) {
+	bespoke, cs, ss, err := Cut(toggled, constVal)
+	if err != nil {
+		return nil, cs, ss, err
 	}
-	for _, d := range b {
-		i, ok := byName[d.Name]
-		if !ok {
-			a = append(a, d)
-			byName[d.Name] = len(a) - 1
-			continue
-		}
-		m := &a[i]
-		if d.Exceeded {
-			m.Exceeded = true
-		}
-		if m.Exceeded {
-			m.Words = nil
-			continue
-		}
-		seen := make(map[uint32]struct{}, len(m.Words))
-		for _, w := range m.Words {
-			seen[uint32(w.Val)|uint32(w.Mask)<<16] = struct{}{}
-		}
-		for _, w := range d.Words {
-			key := uint32(w.Val) | uint32(w.Mask)<<16
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			if len(m.Words) >= symexec.MaxDomainWords {
-				m.Exceeded = true
-				m.Words = nil
-				break
-			}
-			seen[key] = struct{}{}
-			m.Words = append(m.Words, w)
-		}
+	if testHookPostSynth != nil {
+		testHookPostSynth(bespoke.N)
 	}
-	return a
+	*stage = "lint"
+	if err := lintGate(ctx, bespoke); err != nil {
+		gate := netlist.None
+		var le *LintError
+		if errors.As(err, &le) {
+			gate = le.Gate()
+		}
+		return nil, cs, ss, stageErr(*stage, gate, err)
+	}
+	return bespoke, cs, ss, nil
+}
+
+// normalized returns opts with the implied settings spelled out: Induct
+// implies Prove, and Prove records the bus domains the prover reads. The
+// flow and the cache key both read options through it, so two spellings
+// of one flow are one flow.
+func (opts Options) normalized() Options {
+	if opts.Induct {
+		opts.Prove = true
+	}
+	if opts.Prove {
+		opts.Sym.RecordDomains = true
+	}
+	return opts
 }
 
 // analyzeGuarded wraps one worker's symexec.Analyze call so a panic from

@@ -9,8 +9,9 @@ import (
 
 // TestInductCacheKey: the induction knobs are part of the tailored-core
 // cache identity — toggling Induct or changing InductK must produce a
-// different key, and Induct implies Prove (an Induct result is a Prove
-// result, so the two option spellings share one cache entry).
+// different key. Options that imply others (Induct implies Prove, Prove
+// implies Sym.RecordDomains) key like their spelled-out forms, since
+// both run the same flow.
 func TestInductCacheKey(t *testing.T) {
 	p := asm.MustAssemble(cachedAdd)
 	tc := core.NewTailorCache()
@@ -36,5 +37,12 @@ func TestInductCacheKey(t *testing.T) {
 	// Induct implies Prove: spelling it out must not fork the cache.
 	if both := key(core.Options{Induct: true, Prove: true}); both != induct {
 		t.Fatalf("Induct+Prove keys differently from Induct alone: %s vs %s", both, induct)
+	}
+	// Prove forces RecordDomains on: spelling that out must not fork it
+	// either.
+	spelled := core.Options{Prove: true}
+	spelled.Sym.RecordDomains = true
+	if k := key(spelled); k != prove {
+		t.Fatalf("Prove+RecordDomains keys differently from Prove alone: %s vs %s", k, prove)
 	}
 }

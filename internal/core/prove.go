@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -9,6 +10,7 @@ import (
 	"bespoke/internal/cpu"
 	"bespoke/internal/equiv"
 	"bespoke/internal/induct"
+	"bespoke/internal/netlist"
 	"bespoke/internal/symexec"
 )
 
@@ -32,16 +34,57 @@ type InductSummary struct {
 	// prover; Core counts claims proved as members of the inductive core.
 	Invariants int
 	Core       int
-	// Candidates/Dropped mirror induct.Result.
+	// Candidates, Dropped, Rounds, Queries and Conflicts mirror
+	// induct.Result.
 	Candidates int
 	Dropped    int
+	Rounds     int
 	Queries    int64
+	Conflicts  int64
 	// BudgetExhausted reports a level was abandoned on budget (sound:
 	// fewer invariants proved).
 	BudgetExhausted bool `json:",omitempty"`
 	// Provenance records per-invariant discharge depth and how many
 	// claim proofs used each one (base64 binary in JSON).
 	Provenance *induct.Provenance `json:",omitempty"`
+}
+
+// Prove runs the flow for one program up to and including its formal
+// gate: the activity analysis (with Sym.RecordDomains forced on), cut,
+// resynth and lint, then the per-program proof Tailor's prove stage runs
+// (strengthening when opts.Induct is set, the per-claim proofs, and the
+// base-vs-bespoke miter). There is no signoff, so opts.ClockPs and
+// opts.Resilience are not read.
+//
+// A refuted claim is a verdict, not an error: it is counted in
+// Claims.Refuted and Miter stays nil. An aborted proof (a
+// *equiv.LimitError) returns the partial result alongside the error.
+// Every error is a *FlowError.
+func Prove(ctx context.Context, prog *asm.Program, opts Options) (pr *ProofResult, err error) {
+	stage := "init"
+	defer guard(&stage, &err)
+	if prog == nil {
+		return nil, stageErr(stage, netlist.None, fmt.Errorf("core: nil program"))
+	}
+	opts.Prove = true
+	opts = opts.normalized()
+
+	stage = "analysis"
+	union, err := UnionAnalysis(ctx, []*asm.Program{prog}, opts.Sym)
+	if err != nil {
+		return nil, stageErr(stage, netlist.None, err)
+	}
+	if testHookAnalysis != nil {
+		testHookAnalysis(union)
+	}
+	stage = "cut"
+	bespoke, _, _, err := cutAndLint(ctx, &stage, union.Toggled, union.ConstVal)
+	if err != nil {
+		return nil, err
+	}
+	stage = "prove"
+	pr, err = proveProgram(ctx, loadedBase(prog), bespoke, union, opts)
+	return pr, stageErr(stage, netlist.None, err)
 }
 
 // proveGate discharges the flow's formal obligations: for every target
@@ -56,43 +99,67 @@ type InductSummary struct {
 func proveGate(ctx context.Context, bespoke *cpu.Core, progs []*asm.Program, union *symexec.Result, opts Options) ([]ProofResult, error) {
 	out := make([]ProofResult, 0, len(progs))
 	for pi, p := range progs {
-		// A private base core per program: elaboration is deterministic,
-		// so gate IDs align with the union analysis; only the ROM image
-		// differs.
-		base := cpu.Base()
-		base.LoadProgram(p.Bytes, p.Origin)
-		env, err := equiv.NewCoreEnv(base, union)
+		base := loadedBase(p)
+		pr, err := proveProgram(ctx, base, bespoke, union, opts)
 		if err != nil {
 			return nil, fmt.Errorf("program %d: %w", pi, err)
 		}
-		var isum *InductSummary
-		if opts.Induct {
-			isum, err = strengthen(ctx, base, union, env, opts)
-			if err != nil {
-				return nil, fmt.Errorf("program %d: %w", pi, err)
-			}
+		if pr.Claims.Refuted > 0 {
+			return nil, proofError(ctx, base, bespoke, pr.Claims)
 		}
-		rep, err := equiv.ProveClaims(ctx, env, opts.ProveOpts)
-		if err != nil {
-			return nil, fmt.Errorf("program %d: %w", pi, err)
-		}
-		if rep.Refuted > 0 {
-			return nil, proofError(ctx, base, bespoke, env, rep)
-		}
-		mres, err := equiv.ProveMiter(ctx, env, bespoke.N, rep, opts.ProveOpts)
-		if err != nil {
-			return nil, fmt.Errorf("program %d: %w", pi, err)
-		}
-		if !mres.Equivalent {
+		if !pr.Miter.Equivalent {
 			return nil, fmt.Errorf("program %d: bespoke netlist is not equivalent to the baseline (first mismatch at %s)",
-				pi, mres.Mismatch)
+				pi, pr.Miter.Mismatch)
 		}
-		if isum != nil {
-			isum.Provenance = induct.BuildProvenance(env.Invariants, rep)
-		}
-		out = append(out, ProofResult{Program: pi, Claims: rep, Miter: mres, Induct: isum})
+		pr.Program = pi
+		out = append(out, *pr)
 	}
 	return out, nil
+}
+
+// loadedBase returns a private base core with p's image in its ROM.
+// Elaboration is deterministic, so gate IDs align with the analysis;
+// only the ROM image differs between programs.
+func loadedBase(p *asm.Program) *cpu.Core {
+	base := cpu.Base()
+	base.LoadProgram(p.Bytes, p.Origin)
+	return base
+}
+
+// proveProgram is the formal gate for one program loaded into base:
+// strengthening when opts.Induct is set, the per-claim proofs, and, when
+// no claim is refuted, the miter against bespoke. On a *equiv.LimitError
+// it returns what was decided before the abort alongside the error.
+func proveProgram(ctx context.Context, base, bespoke *cpu.Core, union *symexec.Result, opts Options) (*ProofResult, error) {
+	env, err := equiv.NewCoreEnv(base, union)
+	if err != nil {
+		return nil, err
+	}
+	pr := &ProofResult{}
+	if opts.Induct {
+		if pr.Induct, err = strengthen(ctx, base, union, env, opts); err != nil {
+			return nil, err
+		}
+	}
+	rep, err := equiv.ProveClaims(ctx, env, opts.ProveOpts)
+	if err != nil {
+		var le *equiv.LimitError
+		if !errors.As(err, &le) || le.Report == nil {
+			return nil, err
+		}
+		rep = le.Report
+	}
+	pr.Claims = rep
+	if pr.Induct != nil {
+		pr.Induct.Provenance = induct.BuildProvenance(env.Invariants, rep)
+	}
+	if err != nil || rep.Refuted > 0 {
+		return pr, err
+	}
+	if pr.Miter, err = equiv.ProveMiter(ctx, env, bespoke.N, rep, opts.ProveOpts); err != nil {
+		return pr, err
+	}
+	return pr, nil
 }
 
 // strengthen runs the inductive invariant engine for one program and
@@ -127,7 +194,9 @@ func strengthen(ctx context.Context, base *cpu.Core, union *symexec.Result, env 
 		Core:            len(ires.Core),
 		Candidates:      ires.Candidates,
 		Dropped:         ires.Dropped,
+		Rounds:          ires.Rounds,
 		Queries:         ires.Queries,
+		Conflicts:       ires.Conflicts,
 		BudgetExhausted: ires.BudgetExhausted,
 	}, nil
 }
@@ -155,10 +224,9 @@ func provedDomains(invs []equiv.Invariant) []symexec.BusDomain {
 // proofError converts the first refutation into a *equiv.ProofError,
 // replaying its counterexample in cosimulation so the error carries a
 // demonstrated divergence, not just a SAT model.
-func proofError(ctx context.Context, base, bespoke *cpu.Core, env *equiv.Env, rep *equiv.Report) error {
-	refs := rep.Refutations()
-	first := refs[0]
-	g := env.N.Gates[first.Claim.Gate]
+func proofError(ctx context.Context, base, bespoke *cpu.Core, rep *equiv.Report) error {
+	first := rep.Refutations()[0]
+	g := base.N.Gates[first.Claim.Gate]
 	perr := &equiv.ProofError{
 		Gate:           first.Claim.Gate,
 		Kind:           g.Kind,

@@ -84,6 +84,15 @@ func TestTailorProveRejectsCorruption(t *testing.T) {
 	}
 	defer func() { testHookAnalysis = nil }()
 
+	// core.Prove reports the refutation as a verdict, not an error.
+	pr, err := Prove(context.Background(), p, Options{})
+	if err != nil {
+		t.Fatalf("Prove returned an error for a refuted claim: %v", err)
+	}
+	if pr.Claims.Refuted == 0 || pr.Miter != nil {
+		t.Fatalf("Prove: %d refuted, miter %v; want a refutation and no miter", pr.Claims.Refuted, pr.Miter)
+	}
+
 	_, err = Tailor(context.Background(), p, addWorkload(), Options{Prove: true})
 	if err == nil {
 		t.Fatal("corrupted constant passed the prove gate")

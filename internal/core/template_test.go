@@ -18,8 +18,9 @@ import (
 // freshBaseline is the baseline signoff without any memo, as the flow
 // computed it before the template existed: elaborate, place, derive the
 // clock (unless clockPs is set), time, run the workload and take power.
-func freshBaseline(t *testing.T, p *asm.Program, w *Workload, lib *cells.Library, clockPs float64) Metrics {
+func freshBaseline(t *testing.T, p *asm.Program, w *Workload, clockPs float64) Metrics {
 	t.Helper()
+	lib := cells.TSMC65()
 	c := cpu.Build()
 	c.LoadProgram(p.Bytes, p.Origin)
 	place := layout.Place(c.N, lib)
@@ -45,46 +46,6 @@ func freshBaseline(t *testing.T, p *asm.Program, w *Workload, lib *cells.Library
 	}
 }
 
-// slowWireLib returns a library that differs from the default only in
-// doubled wire delay (scaled by k, so tests can make distinct keys).
-func slowWireLib(k float64) *cells.Library {
-	lib := cells.TSMC65()
-	lib.WireDelayPerUm *= 2 * k
-	return lib
-}
-
-func TestTemplatePerLibrary(t *testing.T) {
-	p := asm.MustAssemble(simpleAdd)
-	def, err := templateFor(cells.TSMC65())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib := slowWireLib(1)
-	slow, err := templateFor(lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow == def || slow.clockPs <= def.clockPs {
-		t.Fatalf("doubled wire delay shares or undercuts the default template: clock %.1f vs %.1f ps",
-			slow.clockPs, def.clockPs)
-	}
-	// The key is the library value: an equal copy shares the template.
-	if again, _ := templateFor(slowWireLib(1)); again != slow {
-		t.Error("an equal library value got a second template")
-	}
-
-	res, err := Tailor(context.Background(), p, addWorkload(), Options{Lib: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := freshBaseline(t, p, addWorkload(), lib, 0); !reflect.DeepEqual(res.Baseline, want) {
-		t.Errorf("custom-library baseline differs from an unmemoized signoff:\n got %+v\nwant %+v", res.Baseline, want)
-	}
-	if res.Bespoke.Timing.ClockPs != slow.clockPs {
-		t.Errorf("bespoke clock %.3f ps, want the custom template's %.3f ps", res.Bespoke.Timing.ClockPs, slow.clockPs)
-	}
-}
-
 func TestTemplateClockOverride(t *testing.T) {
 	p := asm.MustAssemble(simpleAdd)
 	const clockPs = 20_000
@@ -96,11 +57,11 @@ func TestTemplateClockOverride(t *testing.T) {
 		t.Fatalf("clock override not applied: baseline %.1f, bespoke %.1f ps",
 			res.Baseline.Timing.ClockPs, res.Bespoke.Timing.ClockPs)
 	}
-	if want := freshBaseline(t, p, addWorkload(), cells.TSMC65(), clockPs); !reflect.DeepEqual(res.Baseline, want) {
+	if want := freshBaseline(t, p, addWorkload(), clockPs); !reflect.DeepEqual(res.Baseline, want) {
 		t.Errorf("overridden-clock baseline differs from an unmemoized signoff:\n got %+v\nwant %+v", res.Baseline, want)
 	}
 	// The override times a copy; the shared template keeps its own clock.
-	tmpl, err := templateFor(cells.TSMC65())
+	tmpl, err := templateFor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +93,7 @@ func TestTemplateCoresArePrivate(t *testing.T) {
 	if netlist.Hash(second.BaselineCore.N) != netlist.Hash(cpu.Build().N) {
 		t.Error("a caller's edit to its baseline core reached the next flow's")
 	}
-	if want := freshBaseline(t, p, addWorkload(), cells.TSMC65(), 0); !reflect.DeepEqual(second.Baseline, want) {
+	if want := freshBaseline(t, p, addWorkload(), 0); !reflect.DeepEqual(second.Baseline, want) {
 		t.Errorf("baseline after a caller's edit differs from an unmemoized signoff:\n got %+v\nwant %+v", second.Baseline, want)
 	}
 }
@@ -141,8 +102,9 @@ func TestTemplateCoresArePrivate(t *testing.T) {
 // job covers the memo's first fill from several goroutines.
 func TestTemplateConcurrentFirstUse(t *testing.T) {
 	p := asm.MustAssemble(simpleAdd)
-	// A library no other test uses, so these calls are its first use.
-	lib := slowWireLib(1.5)
+	// A fresh memo, so these calls are its first use.
+	defer func(shared func() (*baseTemplate, error)) { templateFor = shared }(templateFor)
+	templateFor = sync.OnceValues(newBaseTemplate)
 	const workers = 4
 	results := make([]*Result, workers)
 	errs := make([]error, workers)
@@ -153,12 +115,12 @@ func TestTemplateConcurrentFirstUse(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			results[i], errs[i] = Tailor(context.Background(), p, addWorkload(), Options{Lib: lib})
+			results[i], errs[i] = Tailor(context.Background(), p, addWorkload(), Options{})
 		}(i)
 	}
 	start.Done()
 	done.Wait()
-	want := freshBaseline(t, p, addWorkload(), lib, 0)
+	want := freshBaseline(t, p, addWorkload(), 0)
 	for i := 0; i < workers; i++ {
 		if errs[i] != nil {
 			t.Fatalf("flow %d: %v", i, errs[i])

@@ -20,27 +20,17 @@ func NewCoreEnv(c *cpu.Core, res *symexec.Result) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
+	rom, ram := MemSpecs(c)
+	return &Env{N: c.N, Claims: claims, ROM: rom, RAM: ram, Domains: res.BusDomains}, nil
+}
+
+// MemSpecs describes a loaded core's memories to the encoder: the exact
+// program-image ROM read function and the data-memory enable gating.
+func MemSpecs(c *cpu.Core) (*ROMSpec, *RAMSpec) {
 	romAddr, romData, romEn := c.ROM.Pins()
 	ramAddr, ramWData, ramData, ramEn, ramWLo, ramWHi := c.RAM.Pins()
-	return &Env{
-		N:      c.N,
-		Claims: claims,
-		ROM: &ROMSpec{
-			Addr:  romAddr,
-			Data:  romData,
-			En:    romEn,
-			Words: c.ROM.Words(),
-		},
-		RAM: &RAMSpec{
-			Addr:  ramAddr,
-			WData: ramWData,
-			Data:  ramData,
-			En:    ramEn,
-			WEnLo: ramWLo,
-			WEnHi: ramWHi,
-		},
-		Domains: res.BusDomains,
-	}, nil
+	return &ROMSpec{Addr: romAddr, Data: romData, En: romEn, Words: c.ROM.Words()},
+		&RAMSpec{Addr: ramAddr, WData: ramWData, Data: ramData, En: ramEn, WEnLo: ramWLo, WEnHi: ramWHi}
 }
 
 // Divergence is the outcome of replaying a counterexample on the real

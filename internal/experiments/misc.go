@@ -7,9 +7,12 @@ import (
 	"time"
 
 	"bespoke/internal/bench"
+	"bespoke/internal/cells"
+	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/multiprog"
 	"bespoke/internal/mutate"
+	"bespoke/internal/power"
 	"bespoke/internal/powergate"
 	"bespoke/internal/report"
 	"bespoke/internal/rtos"
@@ -57,7 +60,7 @@ func Fig13(w io.Writer, quick bool) ([]multiprog.Range, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := cpu.Build().N.CellCount()
+	base := cpu.Base().N.CellCount()
 	t := report.NewTable("Figure 13: Bespoke processors supporting N programs (normalized to baseline)",
 		"N", "Gate count min..max", "Area min..max", "Power min..max")
 	for _, r := range ranges {
@@ -109,6 +112,8 @@ func RunMutants(w io.Writer, quick bool) ([]MutantStudy, error) {
 		}
 		return report.Pct(float64(sup) / float64(tot))
 	}
+	lib := cells.TSMC65()
+	baseArea, basePw := power.Static(cpu.Base().N, lib)
 	for _, b := range MutantBenches(quick) {
 		app, appCore, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 		if err != nil {
@@ -124,7 +129,7 @@ func RunMutants(w io.Writer, quick bool) ([]MutantStudy, error) {
 		// The app-only bespoke design both validates the support claims
 		// dynamically (64 mutants per bit-parallel simulator pass) and is
 		// the Figure 14 baseline.
-		appDesign, err := cutUnion(app)
+		appDesign, _, _, err := core.Cut(app.Toggled, app.ConstVal)
 		if err != nil {
 			return nil, err
 		}
@@ -151,14 +156,13 @@ func RunMutants(w io.Writer, quick bool) ([]MutantStudy, error) {
 
 		// Figure 14: cut for the union and measure.
 		st := MutantStudy{Bench: b.Name, Support: sup}
-		mcore, err := cutUnion(sup.Union)
+		mcore, _, _, err := core.Cut(sup.Union.Toggled, sup.Union.ConstVal)
 		if err != nil {
 			return nil, err
 		}
 		baseCells := appCore.N.CellCount()
 		st.NormGates = float64(mcore.N.CellCount()) / float64(baseCells)
-		area, pw := staticMetrics(mcore)
-		baseArea, basePw := staticMetrics(cpu.Build())
+		area, pw := power.Static(mcore.N, lib)
 		st.NormArea = area / baseArea
 		st.NormPower = pw / basePw
 		t14.AddRow(b.Name, fmt.Sprintf("%.2f", st.NormGates),

@@ -302,7 +302,7 @@ func (e *engine) inferBusDomains(boot [][]logic.V) {
 			continue
 		}
 		add := func(tag string, cubes []logic.Word) {
-			if len(cubes) == 0 || len(cubes) > e.opts.maxCubes() {
+			if len(cubes) == 0 || len(cubes) > maxCubes {
 				return
 			}
 			e.cands = append(e.cands, candidate{claim: -1, inv: equiv.Invariant{
@@ -320,7 +320,7 @@ func (e *engine) inferBusDomains(boot [][]logic.V) {
 			add("#range", intervalCubes(lo, hi))
 		}
 		if bus.Name == "ir" && e.spec.ROM != nil {
-			add("#image", imageWords(e.spec.ROM.Words, words, e.opts.maxCubes()))
+			add("#image", imageWords(e.spec.ROM.Words, words))
 		}
 	}
 }
@@ -394,8 +394,8 @@ func intervalCubes(lo, hi uint16) []logic.Word {
 
 // imageWords is the deduplicated value set of the program image plus the
 // recorded seed values (the reset value of the instruction register need
-// not be an image word).
-func imageWords(rom []uint16, seed []logic.Word, maxCubes int) []logic.Word {
+// not be an image word), or nil when it is wider than maxCubes.
+func imageWords(rom []uint16, seed []logic.Word) []logic.Word {
 	set := make(map[uint16]bool, len(rom))
 	for _, w := range rom {
 		set[w] = true
@@ -503,7 +503,6 @@ func (e *engine) inferImplications(claimed map[netlist.GateID]logic.V) {
 		return n
 	}
 
-	limit := e.opts.maxImplications()
 	total := 0
 	for _, a := range ante {
 		for _, b := range cons {
@@ -520,7 +519,7 @@ func (e *engine) inferImplications(claimed map[netlist.GateID]logic.V) {
 					if count(a, b, va, !vb) != 0 || count(a, b, va, vb) == 0 {
 						continue // violated in samples, or vacuous
 					}
-					if total >= limit {
+					if total >= maxImplications {
 						return
 					}
 					total++

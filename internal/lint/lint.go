@@ -102,9 +102,6 @@ type Config struct {
 	// count as roots for liveness (dead-logic) and as readers (unread-
 	// output), exactly like the re-synthesis pass treats them.
 	KeepAlive []netlist.GateID
-	// Lib is the cell library to check kinds against; nil uses the
-	// default TSMC65-class library.
-	Lib *cells.Library
 	// Workers bounds the fan-out parallelism; 0 uses GOMAXPROCS.
 	Workers int
 	// Waivers suppresses matching findings per module (see Waiver and
@@ -208,10 +205,7 @@ func newDesign(n *netlist.Netlist, cfg *Config) *design {
 		read:      make([]bool, len(n.Gates)),
 		output:    make([]bool, len(n.Gates)),
 		keepAlive: make([]bool, len(n.Gates)),
-		lib:       cfg.Lib,
-	}
-	if d.lib == nil {
-		d.lib = cells.TSMC65()
+		lib:       cells.TSMC65(),
 	}
 	for i := range n.Gates {
 		g := &n.Gates[i]

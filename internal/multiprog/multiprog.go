@@ -10,13 +10,10 @@ import (
 	"math/bits"
 
 	"bespoke/internal/cells"
+	"bespoke/internal/core"
 	"bespoke/internal/cpu"
-	"bespoke/internal/cut"
-	"bespoke/internal/layout"
-	"bespoke/internal/logic"
-	"bespoke/internal/netlist"
+	"bespoke/internal/power"
 	"bespoke/internal/symexec"
-	"bespoke/internal/synth"
 )
 
 // bitset is a fixed-size gate set.
@@ -119,44 +116,16 @@ func GateRanges(analyses []*symexec.Result, numGates int) []Range {
 	return out
 }
 
-// unionResult merges analyses for the programs selected by mask.
-func unionResult(analyses []*symexec.Result, mask uint32) *symexec.Result {
-	var u *symexec.Result
-	for i, a := range analyses {
-		if mask>>uint(i)&1 == 0 {
-			continue
-		}
-		if u == nil {
-			u = &symexec.Result{
-				Toggled:  append([]bool(nil), a.Toggled...),
-				ConstVal: append([]logic.V(nil), a.ConstVal...),
-			}
-			continue
-		}
-		for g := range u.Toggled {
-			switch {
-			case a.Toggled[g]:
-				u.Toggled[g] = true
-			case !u.Toggled[g] && u.ConstVal[g] != a.ConstVal[g]:
-				u.Toggled[g] = true
-			}
-		}
-	}
-	return u
-}
-
 // CutForSubset produces the bespoke core for a subset of programs.
 func CutForSubset(analyses []*symexec.Result, mask uint32) (*cpu.Core, error) {
-	u := unionResult(analyses, mask)
-	c := cpu.Build()
-	if _, err := cut.Apply(c.N, u.Toggled, u.ConstVal); err != nil {
-		return nil, err
+	u := &symexec.Result{}
+	for i, a := range analyses {
+		if mask>>uint(i)&1 == 1 {
+			u.Merge(a)
+		}
 	}
-	var keep []netlist.GateID
-	keep = append(keep, c.ROM.Inputs()...)
-	keep = append(keep, c.RAM.Inputs()...)
-	synth.Optimize(c.N, keep)
-	return c, nil
+	c, _, _, err := core.Cut(u.Toggled, u.ConstVal)
+	return c, err
 }
 
 // MeasureExtremes fills area and idle-power numbers (normalized to the
@@ -165,17 +134,15 @@ func CutForSubset(analyses []*symexec.Result, mask uint32) (*cpu.Core, error) {
 // subsetting changes for a fixed application mix.
 func MeasureExtremes(ranges []Range, analyses []*symexec.Result) ([]Range, error) {
 	lib := cells.TSMC65()
-	baseline := cpu.Build()
-	basePlace := layout.Place(baseline.N, lib)
-	baseStatic := staticPowerUW(baseline.N, lib, basePlace)
+	baseArea, baseStatic := power.Static(cpu.Base().N, lib)
 
 	measure := func(mask uint32) (area, pw float64, err error) {
 		c, err := CutForSubset(analyses, mask)
 		if err != nil {
 			return 0, 0, err
 		}
-		place := layout.Place(c.N, lib)
-		return place.AreaUm2 / basePlace.AreaUm2, staticPowerUW(c.N, lib, place) / baseStatic, nil
+		area, pw = power.Static(c.N, lib)
+		return area / baseArea, pw / baseStatic, nil
 	}
 	for i := range ranges {
 		var err error
@@ -187,25 +154,4 @@ func MeasureExtremes(ranges []Range, analyses []*symexec.Result) ([]Range, error
 		}
 	}
 	return ranges, nil
-}
-
-// staticPowerUW is leakage plus clock-tree power at nominal supply.
-func staticPowerUW(n *netlist.Netlist, lib *cells.Library, place *layout.Result) float64 {
-	var leakNW float64
-	dffs := 0
-	for i := range n.Gates {
-		k := n.Gates[i].Kind
-		switch k {
-		case netlist.Input, netlist.Const0, netlist.Const1:
-			continue
-		}
-		leakNW += lib.ByKind[k].Leakage
-		if k == netlist.Dff {
-			dffs++
-		}
-	}
-	_ = place
-	const fHz = 100e6
-	clkFJ := float64(dffs) * 1.0
-	return leakNW*1e-3 + clkFJ*fHz*1e-9
 }

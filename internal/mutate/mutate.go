@@ -17,7 +17,6 @@ import (
 
 	"bespoke/internal/asm"
 	"bespoke/internal/bench"
-	"bespoke/internal/logic"
 	"bespoke/internal/parallel"
 	"bespoke/internal/symexec"
 )
@@ -189,10 +188,8 @@ func CheckSupport(ctx context.Context, b *bench.Benchmark, app *symexec.Result, 
 		// mutants that exceed the budget count as unsupported.
 		sym.MaxCycles = 400_000
 	}
-	union := &symexec.Result{
-		Toggled:  append([]bool(nil), app.Toggled...),
-		ConstVal: append([]logic.V(nil), app.ConstVal...),
-	}
+	union := &symexec.Result{}
+	union.Merge(app)
 	res := &SupportResult{
 		Total:           len(muts),
 		ByType:          CountByType(muts),
@@ -231,20 +228,8 @@ func CheckSupport(ctx context.Context, b *bench.Benchmark, app *symexec.Result, 
 			continue
 		}
 		res.MutantsAnalyzable++
-		supported[i] = true
-		for g, t := range mres.Toggled {
-			switch {
-			case t:
-				if !app.Toggled[g] {
-					supported[i] = false
-				}
-				union.Toggled[g] = true
-			case !union.Toggled[g] && union.ConstVal[g] != mres.ConstVal[g]:
-				// Static in both but at different constants: the gate
-				// must be kept in a mutant-supporting design.
-				union.Toggled[g] = true
-			}
-		}
+		supported[i] = len(app.Missing(mres)) == 0
+		union.Merge(mres)
 		if supported[i] {
 			res.Supported++
 			res.SupportedByType[m.Type]++

@@ -91,3 +91,26 @@ func Analyze(n *netlist.Netlist, lib *cells.Library, place *layout.Result, toggl
 	rep.TotalUW = rep.DynamicUW + rep.ClockUW + rep.LeakUW
 	return rep
 }
+
+// Static places a design and returns its area and its workload-
+// independent power in microwatts at nominal supply and the paper's
+// 100 MHz clock: cell leakage plus one flip-flop clock pin per cycle.
+// The multi-program and mutant studies compare designs by it, since
+// subsetting changes the design but not the workload.
+func Static(n *netlist.Netlist, lib *cells.Library) (areaUm2, uW float64) {
+	var leakNW float64
+	dffs := 0
+	for i := range n.Gates {
+		k := n.Gates[i].Kind
+		switch k {
+		case netlist.Input, netlist.Const0, netlist.Const1:
+			continue
+		}
+		leakNW += lib.ByKind[k].Leakage
+		if k == netlist.Dff {
+			dffs++
+		}
+	}
+	const fHz = 100e6
+	return layout.Place(n, lib).AreaUm2, leakNW*1e-3 + float64(dffs)*clockPinFJ*fHz*1e-9
+}

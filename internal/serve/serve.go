@@ -14,6 +14,9 @@ import (
 	"bespoke/internal/core"
 )
 
+// maxBodyBytes caps a request body; a larger one is rejected with 400.
+const maxBodyBytes = 8 << 20
+
 // Config tunes a Server.
 type Config struct {
 	// Cache serves hits and memoizes cold runs. nil builds a default
@@ -30,8 +33,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps requested timeouts (<= 0 means 10 minutes).
 	MaxTimeout time.Duration
-	// MaxBodyBytes caps the request body (<= 0 means 8 MiB).
-	MaxBodyBytes int64
 	// Logf, when set, receives one line per served request (method,
 	// path, status, source, latency). nil disables logging.
 	Logf func(format string, args ...any)
@@ -106,9 +107,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 10 * time.Minute
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -202,7 +200,7 @@ func (s *Server) handleTailor(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.badRequests.Add(1)

@@ -30,9 +30,6 @@ type Options struct {
 	// MaxCycles bounds total simulated cycles across all branches.
 	// 0 means the default (20M).
 	MaxCycles uint64
-	// WatchGate, when nonzero, aborts with a diagnostic the first time
-	// that gate's value becomes X (debugging aid).
-	WatchGate int
 
 	// MergeThreshold is how many distinct unknown-valued (forking)
 	// decision states a branch site may accumulate before the
@@ -147,6 +144,42 @@ func (r *Result) UntoggledCount(n *netlist.Netlist) int {
 		}
 	}
 	return c
+}
+
+// Merge folds o into r, so r describes a design that runs both programs
+// (the paper's Section 3.5 union). A gate toggled in either result is
+// kept; a gate static in both but at different constants is kept too,
+// since no single stitched constant serves both programs. Bus domains are
+// unioned and the exploration counters summed. An empty r takes a copy of
+// o, so the caller's analyses are never aliased.
+func (r *Result) Merge(o *Result) {
+	if r.Toggled == nil {
+		r.Toggled = append([]bool(nil), o.Toggled...)
+		r.ConstVal = append([]logic.V(nil), o.ConstVal...)
+	} else {
+		for g := range r.Toggled {
+			if o.Toggled[g] || (!r.Toggled[g] && r.ConstVal[g] != o.ConstVal[g]) {
+				r.Toggled[g] = true
+			}
+		}
+	}
+	r.Paths += o.Paths
+	r.Cycles += o.Cycles
+	r.Merges += o.Merges
+	r.BusDomains = mergeDomains(r.BusDomains, o.BusDomains)
+}
+
+// Missing returns the gates update can toggle that r cut, lowest first:
+// an empty list means a design tailored to r runs update (the in-field
+// update test of Section 3.5).
+func (r *Result) Missing(update *Result) []netlist.GateID {
+	var out []netlist.GateID
+	for g, t := range update.Toggled {
+		if t && !r.Toggled[g] {
+			out = append(out, netlist.GateID(g))
+		}
+	}
+	return out
 }
 
 // snapshot is one captured machine state (flip-flops plus memory macros).
@@ -458,10 +491,6 @@ func (a *analyzer) runWorld(w world) error {
 			}
 		}
 		skipSite = false
-		if a.opts.WatchGate != 0 && a.s.Val[a.opts.WatchGate] == logic.X {
-			return fmt.Errorf("symexec: WATCH gate %d went X at pc=%v state=%v mab=%v ir=%v",
-				a.opts.WatchGate, a.s.ReadBus(a.core.PC()), a.s.ReadBus(a.core.State), a.s.ReadBus(a.core.MAB), a.s.ReadBus(a.core.IRReg))
-		}
 		// Check that control stays concrete, then clock. A partially
 		// unknown next PC with few unknown bits gets the Algorithm 1
 		// treatment: enumerate every consistent candidate and fork
